@@ -212,6 +212,9 @@ def _cmd_ergotropy(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    tail_tol = args.tail_tol if args.tail_tol is not None else 1e-12
+    if args.oracle and not 0.0 < tail_tol < 1.0:
+        raise _UsageError(f"--tail-tol must lie in (0, 1), got {tail_tol!r}")
     omega = float(args.omega)
     analytic = ergotropy_analytic(state, omega)
     payload = {
@@ -226,7 +229,6 @@ def _cmd_ergotropy(args: argparse.Namespace) -> int:
         "nonclassical": is_nonclassical(state),
     }
     if args.oracle:
-        tail_tol = args.tail_tol if args.tail_tol is not None else 1e-12
         cutoff = choose_cutoff(state, tail_tol)
         density = build_fock_density(state, cutoff, tail_tol)
         oracle_w = ergotropy_of_density(density, omega)
@@ -252,6 +254,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     _require(args, "samples", "seed")
     if int(args.samples) < 1:
         raise _UsageError("--samples must be at least 1")
+    if int(args.seed) < 0:
+        raise _UsageError("--seed must be non-negative")
     summary = audit_campaign(int(args.samples), int(args.seed), family=args.family)
     print(json.dumps(vars(summary) | {"ok": summary.ok}))
     return 0 if summary.ok else 3

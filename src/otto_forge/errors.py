@@ -13,6 +13,10 @@ class OttoForgeError(Exception):
 class CutoffTooSmall(OttoForgeError):
     """The requested Fock cutoff cannot resolve the state's occupation tail."""
 
+    def __init__(self, message: str, tail_mass: float = float("nan")) -> None:
+        super().__init__(message)
+        self.tail_mass = tail_mass  # the unresolved mass measured at that cutoff
+
 
 class CutoffSearchFailed(OttoForgeError):
     """No cutoff below the hard cap meets the requested tail tolerance."""

@@ -1,21 +1,36 @@
 """Truncated-Fock-space brute-force oracle for Gaussian-state energetics.
 
 Everything here deliberately avoids the closed forms of
-:mod:`otto_forge.gaussian`: states are built as explicit matrices by
-exponentiating truncated squeeze/displacement generators, and work content is
-extracted spectrally, by pairing density-matrix eigenvalues (sorted
+:mod:`otto_forge.gaussian`: states are built as explicit matrices from
+exponentials of truncated squeeze/displacement generators, and work content
+is extracted spectrally, by pairing density-matrix eigenvalues (sorted
 descending) with oscillator levels (sorted ascending). The analytic and
 spectral routes validate each other; neither is allowed to call into the
 other's formulas.
 
-One numerical subtlety governs the guards: the exponential of a truncated
-skew-Hermitian generator is exactly unitary at any cutoff, so the trace of
-the built matrix stays near one even when the cutoff is far too small - the
-mass that should leak past the cutoff is reflected back instead. The raw
-trace deficit therefore only measures the thermal diagonal's tail, and the
-guards additionally inspect the occupation mass parked on the top Fock
-levels (the reflected mass lands there), which does detect an unresolved
-state.
+The build is low-rank. The truncated exponentials are exactly unitary, so
+rho = W W^dag with W = D S [sqrt(p_0) e_0 ... sqrt(p_{K-1}) e_{K-1}], where
+K counts the thermal levels whose population is above double round-off
+relative to p_0 (the dropped columns carry less than round-off; an
+undressed thermal state keeps all of them, exact level by level). Each
+generator is tridiagonal (the squeeze one per parity block), and its
+eigenbasis is applied to the N x K block, at O(N^2 K) cost; no N x N
+exponential is ever formed. The spectrum of the finished N x N matrix is
+still taken by an independent eigvalsh.
+
+One numerical subtlety governs the guards: because the truncated dressing
+is unitary at any cutoff, the trace of the built matrix stays near one even
+when the cutoff is far too small - the mass that should leak past the cutoff
+is reflected back instead. The raw trace deficit therefore only measures the
+thermal diagonal's tail, and the guards additionally inspect the occupation
+mass parked on the top Fock levels (the reflected mass lands there), which
+does detect an unresolved state. Both are read from the row norms of W, so
+a rejected cutoff never allocates the N x N matrix.
+
+The cutoff search uses the tail-decay law: the tail bound falls roughly as
+exp(-2N/V) with V = (2 n_th + 1) e^{2r} + 2|alpha|^2, so it starts at
+(V/2) ln(1/tol) and steps on the log of the tail bound with the decay rate
+measured between its probes, instead of doubling and bisecting.
 """
 
 from __future__ import annotations
@@ -38,15 +53,6 @@ HARD_CUTOFF_CAP = 4096
 _EIGENVALUE_FLOOR = -1e-10
 _HERMITICITY_TOL = 1e-12
 _ENTROPY_FLOOR = 1e-15
-
-
-def annihilation(dim: int) -> np.ndarray:
-    """Annihilation operator truncated to the lowest dim Fock levels."""
-    a = np.zeros((dim, dim))
-    if dim > 1:
-        k = np.arange(1, dim)
-        a[k - 1, k] = np.sqrt(k)
-    return a
 
 
 def thermal_probabilities(n_th: float, dim: int) -> np.ndarray:
@@ -113,61 +119,75 @@ class FockDensity:
         return float(self.populations() @ (omega * (np.arange(self.dim) + 0.5)))
 
 
-def _tridiagonal_skew_expm(subdiag: np.ndarray, real_result: bool) -> np.ndarray:
-    """Exponential of the skew-Hermitian tridiagonal generator G.
+def _real_times_complex(real: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """real @ z for a complex z, as one real product over z's interleaved parts."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    return (real @ z.view(np.float64)).view(complex)
+
+
+def _apply_skew_exponential(subdiag: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """expm(G) @ block for the skew-Hermitian tridiagonal generator G.
 
     G has zero diagonal, G[k+1, k] = g_k and G[k, k+1] = -conj(g_k). A
-    unit-modulus diagonal conjugation strips the phases of g, making iG
-    similar to the real symmetric tridiagonal matrix with off-diagonal |g|,
-    whose eigendecomposition reconstructs expm(G) with two dense matmuls
-    (much cheaper than a Pade evaluation of the full matrix).
+    unit-modulus diagonal conjugation d strips the phases of g, making iG
+    similar to the real symmetric tridiagonal T with off-diagonal |g|, so
+    expm(G) = d^dag V exp(-i Lambda) V^T d with T = V Lambda V^T. The
+    eigenbasis is applied to the block's columns; expm(G) itself is never
+    formed.
     """
     g = np.asarray(subdiag, dtype=complex)
-    n = g.shape[0] + 1
-    if n == 1:
-        return np.ones((1, 1))
-    lam, vecs = eigh_tridiagonal(np.zeros(n), np.abs(g))
-    cos_part = (vecs * np.cos(lam)) @ vecs.T
-    sin_part = (vecs * np.sin(lam)) @ vecs.T
-    # d_k = exp(i p_k) with p_0 = 0, p_{k+1} = p_k - (arg g_k + pi/2), so that
-    # T = D (iG) D^dag is real; then expm(G)[j, k] = exp(i(p_k - p_j)) exp(-iT)[j, k]
-    p = np.concatenate(([0.0], -np.cumsum(np.angle(g) + 0.5 * np.pi)))
-    chi = p[None, :] - p[:, None]
-    result = np.exp(1j * chi) * (cos_part - 1j * sin_part)
-    return result.real if real_result else result
+    if g.size == 0:
+        return np.asarray(block, dtype=complex)
+    lam, vecs = eigh_tridiagonal(np.zeros(g.size + 1), np.abs(g))
+    # d_k = exp(i p_k) with p_0 = 0, p_{k+1} = p_k - (arg g_k + pi/2)
+    d = np.exp(1j * np.concatenate(([0.0], -np.cumsum(np.angle(g) + 0.5 * np.pi))))
+    spectral = _real_times_complex(vecs.T, d[:, None] * block)
+    spectral *= np.exp(-1j * lam)[:, None]
+    return d.conj()[:, None] * _real_times_complex(vecs, spectral)
 
 
-def _squeeze_exponential(r: float, phase: float, dim: int, real_result: bool) -> np.ndarray:
-    """expm of (conj(xi) a^2 - xi a^dag^2)/2, xi = r e^{i phase}.
+def _dressed_thermal_columns(state: GaussianModeState, p: np.ndarray) -> np.ndarray:
+    """W = D(alpha) S(xi) [sqrt(p_0) e_0 ... sqrt(p_{K-1}) e_{K-1}] on len(p) levels.
 
-    The generator moves quanta in pairs, so it splits into even- and
-    odd-parity blocks that are tridiagonal in the packed level index.
+    The squeeze generator (conj(xi) a^2 - xi a^dag^2)/2 moves quanta in
+    pairs, so it splits into even- and odd-parity blocks, tridiagonal in the
+    packed level index; the displacement generator alpha a^dag - conj(alpha) a
+    is tridiagonal in the level index itself.
     """
-    xi = r * complex(math.cos(phase), math.sin(phase))
-    dtype = float if real_result else complex
-    result = np.zeros((dim, dim), dtype=dtype)
-    for offset in (0, 1):
-        levels = np.arange(offset, dim, 2)
-        if levels.size == 0:
-            continue
-        low = levels[:-1].astype(float)
-        subdiag = -0.5 * xi * np.sqrt((low + 1.0) * (low + 2.0))
-        block = _tridiagonal_skew_expm(subdiag, real_result)
-        result[np.ix_(levels, levels)] = block
-    return result
+    dim = p.shape[0]
+    # K: the levels whose population is above round-off relative to p_0; an
+    # undressed state keeps its whole diagonal, exact level by level
+    undressed = state.r == 0.0 and state.alpha == 0j
+    width = dim if undressed else int(np.count_nonzero(p > np.finfo(float).eps * p[0]))
+    w = np.zeros((dim, width), dtype=complex)
+    w[np.arange(width), np.arange(width)] = np.sqrt(p[:width])
+    if state.r > 0.0:
+        xi = state.r * complex(math.cos(state.squeeze_phase), math.sin(state.squeeze_phase))
+        for offset in (0, 1):
+            levels = np.arange(offset, dim, 2)
+            columns = np.arange(offset, width, 2)
+            if columns.size == 0:
+                continue
+            low = levels[:-1].astype(float)
+            subdiag = -0.5 * xi * np.sqrt((low + 1.0) * (low + 2.0))
+            w[np.ix_(levels, columns)] = _apply_skew_exponential(
+                subdiag, w[np.ix_(levels, columns)]
+            )
+    if state.alpha != 0j:
+        k = np.arange(1, dim, dtype=float)
+        w = _apply_skew_exponential(state.alpha * np.sqrt(k), w)
+    return w
 
 
-def _displacement_exponential(alpha: complex, dim: int, real_result: bool) -> np.ndarray:
-    """expm of alpha a^dag - conj(alpha) a, tridiagonal in the level index."""
-    k = np.arange(1, dim, dtype=float)
-    return _tridiagonal_skew_expm(alpha * np.sqrt(k), real_result)
+def _edge_window(dim: int) -> int:
+    """How many top levels of a dim-level basis count as its edge."""
+    return max(4, dim // 16)
 
 
 def _edge_mass(populations: np.ndarray) -> float:
     """Occupation parked on the top levels (level 0 never counts as edge)."""
     dim = populations.shape[0]
-    window = max(4, dim // 16)
-    lo = max(1, dim - window)
+    lo = max(1, dim - _edge_window(dim))
     if lo >= dim:
         return 0.0
     return float(np.sum(populations[lo:]))
@@ -180,8 +200,10 @@ def build_fock_density(
 
     The squeeze and displacement are exponentials of truncated generators
     (computed numerically, not from closed-form matrix elements), applied to
-    the truncated geometric thermal diagonal. Raises CutoffTooSmall when the
-    tail bound (trace deficit or edge occupation) exceeds tail_tol.
+    the populated columns of the truncated geometric thermal diagonal, so
+    rho = W W^dag. Raises CutoffTooSmall, before the N x N matrix is formed,
+    when the tail bound (trace deficit or edge occupation, both read from
+    the row norms of W) exceeds tail_tol.
     """
     cutoff = int(cutoff)
     if cutoff < 1:
@@ -189,34 +211,24 @@ def build_fock_density(
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol!r}")
 
-    p = thermal_probabilities(state.n_th, cutoff)
+    w = _dressed_thermal_columns(state, thermal_probabilities(state.n_th, cutoff))
+    # Centred real states have a real W (to round-off); keeping it float64
+    # keeps the density and eigvalsh real-symmetric.
+    if state.squeeze_phase == 0.0 and state.alpha.imag == 0.0:
+        w = np.ascontiguousarray(w.real)
+    populations = np.einsum("ij,ij->i", w, w.conj()).real
 
-    # Phases force the complex path; centred real states stay in float64,
-    # which roughly halves the cost and keeps eigvalsh real-symmetric.
-    real_case = state.squeeze_phase == 0.0 and state.alpha.imag == 0.0
-
-    dressing = None
-    if state.r > 0.0:
-        dressing = _squeeze_exponential(state.r, state.squeeze_phase, cutoff, real_case)
-    if state.alpha != 0j:
-        displacement = _displacement_exponential(state.alpha, cutoff, real_case)
-        dressing = displacement if dressing is None else displacement @ dressing
-
-    if dressing is None:
-        rho = np.diag(p)
-    else:
-        rho = (dressing * p) @ dressing.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
-
-    deficit = 1.0 - float(np.trace(rho).real)
-    edge = _edge_mass(np.real(np.diagonal(rho)))
-    if max(deficit, edge) > tail_tol:
+    deficit = 1.0 - float(np.sum(populations))
+    edge = _edge_mass(populations)
+    tail = max(deficit, edge)
+    if tail > tail_tol:
         raise CutoffTooSmall(
-            f"cutoff {cutoff} leaves tail mass {max(deficit, edge):.3e} "
+            f"cutoff {cutoff} leaves tail mass {tail:.3e} "
             f"(trace deficit {deficit:.3e}, edge occupation {edge:.3e}) "
-            f"above the tolerance {tail_tol:.3e}"
+            f"above the tolerance {tail_tol:.3e}",
+            tail_mass=tail,
         )
-    return FockDensity(matrix=rho, trace_deficit=deficit, edge_mass=edge)
+    return FockDensity(matrix=w @ w.conj().T, trace_deficit=deficit, edge_mass=edge)
 
 
 def ergotropy_of_density(density: FockDensity, omega: float) -> float:
@@ -247,12 +259,6 @@ def entropy_fock(density: FockDensity) -> float:
     return float(-(ev @ np.log(ev)))
 
 
-def recommended_cutoff_guess(state: GaussianModeState) -> int:
-    """Seed for the cutoff search, several times the bulk occupation extent."""
-    spread = (2.0 * state.n_th + 1.0) * math.exp(2.0 * state.r) / 2.0
-    return math.ceil(8.0 * (spread + abs(state.alpha) ** 2) + 16.0)
-
-
 def choose_cutoff(
     state: GaussianModeState,
     tail_tol: float,
@@ -260,43 +266,70 @@ def choose_cutoff(
 ) -> int:
     """Smallest cutoff whose density passes the tail guard at tail_tol.
 
-    Seeds the search at :func:`recommended_cutoff_guess`, doubles upward
-    until the guard passes (raising CutoffSearchFailed past hard_cap), then
-    bisects downward. The tail bound is monotone in the cutoff up to edge
-    effects of bumpy occupation distributions, so the result may sit a few
-    levels above the true minimum in pathological cases.
+    The occupation tail of a Gaussian state decays per level roughly as
+    exp(-2/V), V = (2 n_th + 1) e^{2r} + 2|alpha|^2 being the antisqueezed
+    variance plus the displacement's share, so log(tail bound) is close to
+    linear in the cutoff. The search starts where that law puts the
+    crossing, (V/2) ln(1/tail_tol), then steps to the crossing predicted by
+    the decay rate measured between its last two probes; a step at most
+    halves or doubles the cutoff and stays between the highest failing and
+    the lowest passing cutoff. It stops once cutoff - 1 fails and cutoff
+    passes, and raises CutoffSearchFailed when hard_cap itself fails.
+
+    The edge window widens by one level at every multiple of 16 from 80 on,
+    which can lift the tail bound above the tolerance for a level or so;
+    when such a step lies just below the result, the cutoff below the step
+    is probed too. Bumpy occupation distributions can still leave the result
+    a few levels above the true minimum.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol!r}")
+    log_tol = math.log(tail_tol)
 
-    def passes(cutoff: int) -> bool:
+    def probe(cutoff: int) -> tuple[bool, float]:
+        """Whether the cutoff passes, and the log of its tail bound.
+
+        A passing cutoff reports its edge occupation: its trace deficit sits
+        at round-off and says nothing about how far the crossing is.
+        """
         try:
-            build_fock_density(state, cutoff, tail_tol)
-        except CutoffTooSmall:
-            return False
-        return True
+            tail = build_fock_density(state, cutoff, tail_tol).edge_mass
+        except CutoffTooSmall as exc:
+            return False, math.log(exc.tail_mass)
+        return True, math.log(tail) if tail > 0.0 else -math.inf
 
-    guess = min(recommended_cutoff_guess(state), hard_cap)
-    if passes(guess):
-        lo, hi = 0, guess  # invariant: hi passes, lo fails (0 = no basis)
-    else:
-        lo, hi = guess, None
-        cutoff = guess
-        while cutoff < hard_cap:
-            cutoff = min(2 * cutoff, hard_cap)
-            if passes(cutoff):
-                hi = cutoff
-                break
-            lo = cutoff
-        if hi is None:
+    variance = (2.0 * state.n_th + 1.0) * math.exp(2.0 * state.r) + 2.0 * abs(state.alpha) ** 2
+    rate = 2.0 / variance
+    cutoff = min(hard_cap, max(1, math.ceil(-0.5 * variance * log_tol)))
+    passes: dict[int, bool] = {}
+    last = None  # the latest probe with a finite log tail bound
+    while True:
+        passed, log_tail = probe(cutoff)
+        passes[cutoff] = passed
+        if not passed and cutoff >= hard_cap:
             raise CutoffSearchFailed(
                 f"no cutoff up to {hard_cap} reaches tail tolerance {tail_tol:.3e} "
                 f"for state {state}"
             )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
+        if math.isfinite(log_tail):
+            # probes a level or two apart differ by window effects as much as by decay
+            if last is not None and abs(cutoff - last[0]) >= 3:
+                measured = (last[1] - log_tail) / (cutoff - last[0])
+                if measured > 0.0:
+                    rate = measured
+            last = (cutoff, log_tail)
+        hi = min((c for c, ok in passes.items() if ok), default=None)
+        lo = max((c for c, ok in passes.items() if not ok and (hi is None or c < hi)), default=0)
+        if hi is not None and hi - lo == 1:
+            below_step = [j - 1 for j in (hi - 1, hi - 2) if _edge_window(j) > _edge_window(j - 1)]
+            if not below_step or below_step[0] in passes:
+                return hi
+            cutoff = below_step[0]
+            continue
+        upper = hard_cap if hi is None else hi - 1
+        if last is not None:
+            target = math.ceil(last[0] + (last[1] - log_tol) / rate)
         else:
-            lo = mid
-    return hi
+            target = (lo + upper + 1) // 2
+        target = min(max(target, (cutoff + 1) // 2), 2 * cutoff)
+        cutoff = min(max(target, lo + 1), upper)

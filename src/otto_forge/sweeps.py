@@ -2,9 +2,10 @@
 
 Sweeps walk a uniform, endpoint-inclusive grid along one axis of a base
 cycle configuration and evaluate the chosen cycle at every point. Per-point
-physics errors (e.g. an invalid second-kind excess) become row-level flags;
-a sweep never aborts. Rows always come back in axis order, also when grid
-points are evaluated in parallel (OTTO_FORGE_THREADS caps the worker count).
+physics and arithmetic errors (e.g. an invalid second-kind excess, or a
+squeezing too large for a double) become row-level flags; a sweep never
+aborts. Rows always come back in axis order, also when grid points are
+evaluated in parallel (OTTO_FORGE_THREADS caps the worker count).
 
 The delta-n axis deserves a note: for a second-kind bath it sets the excess
 directly, while for squeezed or displaced baths the bath parameter (r or
@@ -99,7 +100,17 @@ class SweepSpec:
             raise ValueError(f"start must be below stop, got [{self.start}, {self.stop}]")
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps}")
+        self._check_cycle()
         self._check_axis()
+
+    def _check_cycle(self) -> None:
+        """Refuse a cycle/bath pair for which every row would be NotApplicable."""
+        bath, kind = self.base.bath, self.cycle_kind
+        second_kind = isinstance(bath, SecondKindBath)
+        if (kind is CycleKind.SECOND_KIND) != second_kind or (
+            kind is CycleKind.MODIFIED and isinstance(bath, ThermalBath)
+        ):
+            raise ValueError(f"the {kind.value} cycle does not apply to a {type(bath).__name__}")
 
     def _check_axis(self) -> None:
         bath = self.base.bath
@@ -181,7 +192,7 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[SweepRow]
             config = spec.config_at(v)
             ledger = cycle(config)
             return SweepRow(v, ledger, audit_laws(ledger, config), None)
-        except (OttoForgeError, ValueError) as exc:
+        except (OttoForgeError, ValueError, ArithmeticError) as exc:
             return SweepRow(v, None, None, f"{type(exc).__name__}: {exc}")
 
     values = spec.grid()

@@ -132,6 +132,29 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    def test_overflowing_rows_are_flagged_not_fatal(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", *FIG5, "--bath", "squeezed:0.5",
+            "--axis", "squeeze-r", "--start", "0", "--stop", "1e3", "--steps", "11",
+        )
+        assert code == 0
+        assert "Traceback" not in err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 11
+        flagged = [row for row in rows if row["regime"].startswith("error:")]
+        assert flagged and len(flagged) < len(rows)
+        assert all(row["regime"].startswith("error:OverflowError") for row in flagged)
+
+    def test_cycle_bath_mismatch_is_usage_error(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", *FIG5, "--bath", "squeezed:0.5", "--cycle", "second-kind",
+            "--axis", "frequency-ratio", "--start", "0.1", "--stop", "1", "--steps", "3",
+        )
+        assert code == 2
+        assert out == ""
+
     def test_axis_bath_mismatch_is_usage_error(self, capsys):
         code, _, _ = run_cli(
             capsys,
@@ -198,6 +221,26 @@ class TestAuditCommand:
     def test_zero_samples_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "audit", "--samples", "0", "--seed", "1")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "--samples", "5", "--seed", "-1"),
+        ("ergotropy", "--nth", "0.2", "--omega", "20", "--oracle", "--tail-tol", "2"),
+        ("ergotropy", "--nth", "0.2", "--omega", "20", "--oracle", "--tail-tol", "0"),
+    ],
+)
+def test_out_of_range_values_are_usage_errors(capsys, monkeypatch, argv):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran on an invalid tail tolerance")
+
+    monkeypatch.setattr("otto_forge.cli.choose_cutoff", no_oracle)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error:")
 
 
 class TestConfigFile:

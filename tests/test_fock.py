@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import otto_forge.fock as fock
 from otto_forge import (
     CutoffSearchFailed,
     CutoffTooSmall,
@@ -41,6 +43,18 @@ def resolving_cutoff(state: GaussianModeState) -> int:
     """
     variance = (2 * state.n_th + 1) * math.exp(2 * state.r) + 2 * abs(state.alpha) ** 2
     return 128 + math.ceil(8.0 * variance)
+
+
+def dense_reference_density(state: GaussianModeState, cutoff: int) -> np.ndarray:
+    """rho from dense expm of the truncated generators, on every thermal level."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    xi = state.r * np.exp(1j * state.squeeze_phase)
+    squeeze = expm(0.5 * (np.conj(xi) * a @ a - xi * a.T @ a.T))
+    displacement = expm(state.alpha * a.T - np.conj(state.alpha) * a)
+    q = state.n_th / (state.n_th + 1.0)
+    p = q ** np.arange(cutoff) / (state.n_th + 1.0)
+    dressing = displacement @ squeeze
+    return (dressing * p) @ dressing.conj().T
 
 
 class TestConstruction:
@@ -76,6 +90,27 @@ class TestConstruction:
         assert np.max(np.abs(m - m.conj().T)) <= 1e-12
         with pytest.raises(ValueError):
             m[0, 0] = 2.0
+
+    @pytest.mark.parametrize(
+        "state, cutoff",
+        [
+            (GaussianModeState(0.3, r=0.4, alpha=1.1), 64),
+            (GaussianModeState(1.0, alpha=-1.0), 48),
+            (GaussianModeState(0.0, r=0.6), 40),
+            (GaussianModeState(0.5, r=0.3, alpha=0.8 + 0.6j), 64),
+            (GaussianModeState(0.2, r=0.5, squeeze_phase=0.7), 48),
+            (GaussianModeState(0.4, r=0.2, alpha=-0.3 - 0.9j, squeeze_phase=2.1), 33),
+        ],
+    )
+    def test_factor_build_matches_dense_exponentials(self, state, cutoff):
+        density = build_fock_density(state, cutoff, tail_tol=1e-6)
+        reference = dense_reference_density(state, cutoff)
+        assert np.max(np.abs(density.matrix - reference)) <= 1e-13
+
+    def test_cutoff_too_small_carries_its_tail_mass(self):
+        with pytest.raises(CutoffTooSmall) as info:
+            build_fock_density(GaussianModeState(0.0, r=1.0), cutoff=8, tail_tol=1e-9)
+        assert 1e-9 < info.value.tail_mass < 1.0
 
     def test_cutoff_too_small_raises(self):
         with pytest.raises(CutoffTooSmall):
@@ -210,10 +245,38 @@ class TestChooseCutoff:
         assert build_fock_density(state, cutoff, tail_tol=1e-12).tail_bound < 1e-12
 
     def test_result_is_minimal(self):
-        state = GaussianModeState(0.8, r=0.3)
-        cutoff = choose_cutoff(state, 1e-10)
+        for state in (
+            GaussianModeState(0.8, r=0.3),
+            GaussianModeState(0.2, r=0.5, alpha=1.0),
+            GaussianModeState(0.4, r=0.6, alpha=-1.0),
+            GaussianModeState(0.5, alpha=1.0 + 1.0j),
+            GaussianModeState(1.2, r=1.0, alpha=1.5 * np.exp(0.25j * np.pi)),
+            GaussianModeState(3.0),
+        ):
+            cutoff = choose_cutoff(state, 1e-10)
+            build_fock_density(state, cutoff, tail_tol=1e-10)
+            with pytest.raises(CutoffTooSmall):
+                build_fock_density(state, cutoff - 1, tail_tol=1e-10)
+
+    def test_search_lands_on_the_known_cutoff_in_few_builds(self, monkeypatch):
+        calls = []
+        build = fock.build_fock_density
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "build_fock_density", counted)
+        assert choose_cutoff(GaussianModeState(2.0, r=1.2, alpha=2.0), 1e-12) == 747
+        assert len(calls) <= 6
+
+    def test_window_step_below_the_result_is_probed(self):
+        # the tail bound fails at 80, where the edge window widens, and
+        # passes at both 79 and 81: the search must not stop at 81
+        state = GaussianModeState(0.4, r=0.6, alpha=1.0)
+        assert choose_cutoff(state, 1e-12) == 79
         with pytest.raises(CutoffTooSmall):
-            build_fock_density(state, cutoff - 1, tail_tol=1e-10)
+            build_fock_density(state, 80, tail_tol=1e-12)
 
     def test_search_failure_below_hard_cap(self):
         with pytest.raises(CutoffSearchFailed):

@@ -65,6 +65,36 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(FIG5_BASE, SweepAxis.DISPLACEMENT_MAG, 0.0, 1.0, steps=5)
 
+    @pytest.mark.parametrize(
+        "bath, kind",
+        [
+            (SqueezedThermalBath(0.5), CycleKind.SECOND_KIND),
+            (DisplacedThermalBath(1.0), CycleKind.SECOND_KIND),
+            (ThermalBath(), CycleKind.SECOND_KIND),
+            (SecondKindBath(excess=0.2), CycleKind.STANDARD),
+            (SecondKindBath(excess=0.2), CycleKind.MODIFIED),
+            (ThermalBath(), CycleKind.MODIFIED),
+        ],
+    )
+    def test_cycle_bath_pair_that_never_applies(self, bath, kind):
+        base = CycleConfig(7, 20, 2, 10, bath)
+        with pytest.raises(ValueError, match="does not apply"):
+            SweepSpec(base, SweepAxis.FREQUENCY_RATIO, 0.1, 1.0, 5, kind)
+
+    @pytest.mark.parametrize(
+        "bath, kind",
+        [
+            (ThermalBath(), CycleKind.STANDARD),
+            (SqueezedThermalBath(0.5), CycleKind.MODIFIED),
+            (DisplacedThermalBath(1.0), CycleKind.MODIFIED),
+            (SecondKindBath(excess=0.2), CycleKind.SECOND_KIND),
+        ],
+    )
+    def test_cycle_bath_pair_that_applies(self, bath, kind):
+        base = CycleConfig(7, 20, 2, 10, bath)
+        rows = run_sweep(SweepSpec(base, SweepAxis.FREQUENCY_RATIO, 0.1, 1.0, 5, kind))
+        assert all(row.error is None for row in rows)
+
     def test_cold_temperature_stays_below_t2(self):
         with pytest.raises(ValueError):
             SweepSpec(FIG5_BASE, SweepAxis.COLD_TEMPERATURE, 0.0, 11.0, steps=5)
