@@ -5,8 +5,9 @@ stdout is machine-parseable (JSON, or RFC-4180 CSV for sweeps); warnings and
 diagnostics go to stderr.
 
 A JSON config file (--config) may supply any of the value flags, using the
-flag names as keys (hyphens and underscores are interchangeable). Explicit
-flags win over the config file, with a warning on stderr when they disagree.
+flag names as keys (hyphens and underscores are interchangeable). Each value
+is read as the flag would read it from the command line. Explicit flags win
+over the config file, with a warning on stderr when they disagree.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 from . import __version__
 from .errors import OttoForgeError
 from .cycles import (
+    CYCLE_EVALUATORS,
     CycleConfig,
     CycleKind,
     DisplacedThermalBath,
@@ -26,9 +28,6 @@ from .cycles import (
     SqueezedThermalBath,
     ThermalBath,
     audit_laws,
-    modified_cycle,
-    second_kind_cycle,
-    standard_cycle,
 )
 from .fock import build_fock_density, choose_cutoff, entropy_fock, ergotropy_of_density
 from .gaussian import (
@@ -38,14 +37,8 @@ from .gaussian import (
     is_nonclassical,
     state_energy,
 )
-from .sweeps import SweepAxis, SweepSpec, audit_campaign, emit_table, row_record, run_sweep
+from .sweeps import SweepAxis, SweepSpec, audit_campaign, emit_table, ledger_record, run_sweep
 from .thermo import thermal_entropy
-
-_CYCLE_FN = {
-    "standard": standard_cycle,
-    "modified": modified_cycle,
-    "second-kind": second_kind_cycle,
-}
 
 
 class _UsageError(Exception):
@@ -56,14 +49,19 @@ def _parse_bath(text: str):
     """Parse a bath flag: thermal | squeezed:R | displaced:RE,IM | second-kind:DN.
 
     Squeeze and displacement combine with '+', e.g. squeezed:0.5+displaced:1,0.2.
+    Each kind may appear once.
     """
     r = None
     alpha = None
     second = None
+    seen = set()
     for part in text.split("+"):
         kind, _, payload = part.partition(":")
         kind = kind.strip().lower()
         try:
+            if kind in seen:
+                raise ValueError(f"bath kind {kind!r} given twice")
+            seen.add(kind)
             if kind == "thermal":
                 if payload:
                     raise ValueError("thermal takes no parameter")
@@ -102,10 +100,23 @@ def _merge_config(args: argparse.Namespace) -> None:
         raise _UsageError(f"cannot read config file {args.config!r}: {exc}") from None
     if not isinstance(payload, dict):
         raise _UsageError("config file must hold a flat JSON object")
+    actions = {action.dest: action for action in args.parser._actions}
     for raw_key, value in payload.items():
         key = raw_key.replace("-", "_")
-        if not hasattr(args, key) or key in ("config", "func"):
+        action = actions.get(key)
+        if action is None or key in ("config", "help"):
             raise _UsageError(f"unknown config key {raw_key!r}")
+        if action.type is not None:
+            try:
+                value = action.type(str(value))
+            except ValueError:
+                raise _UsageError(
+                    f"config key {raw_key!r}: invalid {action.type.__name__} value {value!r}"
+                ) from None
+        if action.choices is not None and value not in action.choices:
+            raise _UsageError(
+                f"config key {raw_key!r}: {value!r} is not one of {list(action.choices)}"
+            )
         current = getattr(args, key)
         if current is None or current is False:
             setattr(args, key, value)
@@ -124,30 +135,6 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise _UsageError(f"missing required argument(s): {flags}")
 
 
-def _ledger_payload(ledger, law) -> dict:
-    payload = {
-        "W1": ledger.w1,
-        "W2": ledger.w2,
-        "W3": ledger.w3,
-        "W3_prime": ledger.w3_prime,
-        "W4": ledger.w4,
-        "Q2": ledger.q2,
-        "Q4": ledger.q4,
-        "E2": ledger.e2,
-        "E4": ledger.e4,
-        "eta": ledger.eta,
-        "cop": ledger.cop,
-        "regime": ledger.regime.value,
-        "law_residual": law.first_law_residual,
-        "clausius_sum": law.clausius_sum,
-        "clausius_skipped": law.clausius_skipped,
-        "w_inv": ledger.w_inv,
-        "eta_reason": ledger.eta_reason,
-        "note": ledger.note,
-    }
-    return payload
-
-
 def _cmd_cycle(args: argparse.Namespace) -> int:
     _merge_config(args)
     args.cycle = args.cycle or "standard"
@@ -162,9 +149,16 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    ledger = _CYCLE_FN[args.cycle](config)
+    ledger = CYCLE_EVALUATORS[CycleKind(args.cycle)](config)
     law = audit_laws(ledger, config)
-    print(json.dumps(_ledger_payload(ledger, law)))
+    record = ledger_record(ledger, law) | {
+        "clausius_sum": law.clausius_sum,
+        "clausius_skipped": law.clausius_skipped,
+        "w_inv": ledger.w_inv,
+        "eta_reason": ledger.eta_reason,
+        "note": ledger.note,
+    }
+    print(json.dumps(record))
     return 0
 
 
@@ -252,11 +246,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     _merge_config(args)
     args.family = args.family or "mixed"
     _require(args, "samples", "seed")
-    if int(args.samples) < 1:
+    if args.samples < 1:
         raise _UsageError("--samples must be at least 1")
-    if int(args.seed) < 0:
+    if args.seed < 0:
         raise _UsageError("--seed must be non-negative")
-    summary = audit_campaign(int(args.samples), int(args.seed), family=args.family)
+    summary = audit_campaign(args.samples, args.seed, family=args.family)
     print(json.dumps(vars(summary) | {"ok": summary.ok}))
     return 0 if summary.ok else 3
 
@@ -281,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--cycle",
-            choices=sorted(_CYCLE_FN),
+            choices=sorted(k.value for k in CycleKind),
             help="cycle variant (default: standard)",
         )
         p.add_argument("--config", help="JSON file providing any of the value flags")
 
     p_cycle = sub.add_parser("cycle", help="compute one stroke ledger")
     add_base_flags(p_cycle)
-    p_cycle.set_defaults(func=_cmd_cycle)
+    p_cycle.set_defaults(func=_cmd_cycle, parser=p_cycle)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter and emit a table")
     add_base_flags(p_sweep)
@@ -300,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--steps", type=int, help="number of grid points (>= 2)")
     p_sweep.add_argument("--format", choices=("csv", "json"), help="table format (default: csv)")
     p_sweep.add_argument("--out", help="write the table to a file instead of stdout")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, parser=p_sweep)
 
     p_ergo = sub.add_parser("ergotropy", help="analytic state report, optionally oracle-checked")
     p_ergo.add_argument("--nth", type=float, help="thermal occupation of the state")
@@ -313,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ergo.add_argument("--tail-tol", type=float, help="oracle tail tolerance (default 1e-12)")
     p_ergo.add_argument("--config", help="JSON file providing any of the value flags")
-    p_ergo.set_defaults(func=_cmd_ergotropy)
+    p_ergo.set_defaults(func=_cmd_ergotropy, parser=p_ergo)
 
     p_audit = sub.add_parser("audit", help="randomized first/second-law audit campaign")
     p_audit.add_argument("--samples", type=int, help="number of random configurations")
@@ -324,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="configuration family to draw from (default: mixed)",
     )
     p_audit.add_argument("--config", help="JSON file providing any of the value flags")
-    p_audit.set_defaults(func=_cmd_audit)
+    p_audit.set_defaults(func=_cmd_audit, parser=p_audit)
 
     return parser
 
@@ -342,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OttoForgeError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:  # e.g. a bath parameter too large for a double
+        print(f"physics error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

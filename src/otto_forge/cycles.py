@@ -129,13 +129,6 @@ BathSpec = Union[
     SecondKindBath,
 ]
 
-_FIRST_KIND = (ThermalBath, SqueezedThermalBath, DisplacedThermalBath, SqueezedDisplacedBath)
-
-
-def is_first_kind(bath: BathSpec) -> bool:
-    """Whether the bath leaves the working fluid in a (possibly) non-passive state."""
-    return isinstance(bath, _FIRST_KIND)
-
 
 def bath_wf_state(bath: BathSpec, n2: float) -> GaussianModeState:
     """Working-fluid state after stroke 2 for a first-kind bath."""
@@ -188,6 +181,24 @@ class CycleKind(enum.Enum):
     STANDARD = "standard"
     MODIFIED = "modified"
     SECOND_KIND = "second-kind"
+
+
+# The bath kinds each cycle accepts. First-kind baths (thermal, squeezed,
+# displaced) drive the standard cycle; the modified cycle also needs the
+# working fluid left non-passive, which a thermal bath never does.
+APPLICABLE_BATHS = {
+    CycleKind.STANDARD: (
+        ThermalBath, SqueezedThermalBath, DisplacedThermalBath, SqueezedDisplacedBath
+    ),
+    CycleKind.MODIFIED: (SqueezedThermalBath, DisplacedThermalBath, SqueezedDisplacedBath),
+    CycleKind.SECOND_KIND: (SecondKindBath,),
+}
+
+
+def check_applicable(kind: CycleKind, bath: BathSpec) -> None:
+    """Raise NotApplicable unless the `kind` cycle accepts this bath kind."""
+    if not isinstance(bath, APPLICABLE_BATHS[kind]):
+        raise NotApplicable(f"the {kind.value} cycle does not apply to a {type(bath).__name__}")
 
 
 class RegimeTag(enum.Enum):
@@ -260,11 +271,7 @@ def standard_cycle(config: CycleConfig) -> StrokeLedger:
     The engine condition is n1 <= n2 + delta_n; in the engine regime the
     efficiency is -(W1+W3)/E2 = 1 - omega1/omega2 regardless of delta_n.
     """
-    if not is_first_kind(config.bath):
-        raise NotApplicable(
-            "standard_cycle needs a thermal, squeezed or displaced bath; "
-            f"got {type(config.bath).__name__}"
-        )
+    check_applicable(CycleKind.STANDARD, config.bath)
     n1, n2 = _occupations(config)
     dn = delta_n(bath_wf_state(config.bath, n2))
     return _first_kind_ledger(config, n1, n2, dn, modified=False)
@@ -277,12 +284,7 @@ def modified_cycle(config: CycleConfig) -> StrokeLedger:
     there is nothing to undo; the standard ledger is returned, flagged in
     `note`. The undo is treated as exact and cost-free.
     """
-    if isinstance(config.bath, SecondKindBath):
-        raise NotApplicable("a second-kind bath leaves no ergotropy to harvest")
-    if isinstance(config.bath, ThermalBath):
-        raise NotApplicable("a thermal bath leaves the working fluid passive")
-    if not is_first_kind(config.bath):
-        raise NotApplicable(f"unsupported bath {type(config.bath).__name__}")
+    check_applicable(CycleKind.MODIFIED, config.bath)
     n1, n2 = _occupations(config)
     dn = delta_n(bath_wf_state(config.bath, n2))
     if dn == 0.0:
@@ -333,27 +335,21 @@ def _first_kind_ledger(
         w3_prime=w3p, w3_th=w3_th, w3_nonpas=w3_nonpas,
     )
 
-    if n2 >= n1:
+    net = (o2 - o1) * (n1 - n2) - o2 * dn
+    regime = _classify_modified(net, n1, n2, tol)
+    if regime is RegimeTag.SUB_CARNOT_HYBRID_ENGINE:
         # engine only; heat is still dumped into the cold bath (q4 <= 0)
         eta = 1.0 - (o1 * (n2 - n1)) / (o2 * excess)
-        return StrokeLedger(
-            **common, eta=eta, cop=None,
-            regime=RegimeTag.SUB_CARNOT_HYBRID_ENGINE,
-        )
+        return StrokeLedger(**common, eta=eta, cop=None, regime=regime)
 
     # n2 < n1: the cycle refrigerates the cold bath (q4 > 0). It is a dual
     # engine/refrigerator only if the piston still extracts net work.
     w_inv = w1 + w2 + w3p
     cop = o1 / (o2 - o1)  # n2 < n1 forces o1 < o2 under t1 <= t2
-    net = (o2 - o1) * (n1 - n2) - o2 * dn
-    if net <= tol:
-        return StrokeLedger(
-            **common, eta=1.0, cop=cop, w_inv=w_inv,
-            regime=RegimeTag.DUAL_ENGINE_REFRIGERATOR,
-        )
+    if regime is RegimeTag.DUAL_ENGINE_REFRIGERATOR:
+        return StrokeLedger(**common, eta=1.0, cop=cop, w_inv=w_inv, regime=regime)
     return StrokeLedger(
-        **common, eta=None, cop=cop, w_inv=w_inv,
-        regime=RegimeTag.NOT_ENGINE,
+        **common, eta=None, cop=cop, w_inv=w_inv, regime=regime,
         eta_reason="refrigerates but consumes piston work (W1 + W3' > 0)",
     )
 
@@ -365,10 +361,7 @@ def second_kind_cycle(config: CycleConfig) -> StrokeLedger:
     1 - omega1/omega2 obeys the Carnot bound at the real temperature
     T_real = invert_occupation(omega2, n2 + delta_n).
     """
-    if not isinstance(config.bath, SecondKindBath):
-        raise NotApplicable(
-            f"second_kind_cycle needs a SecondKindBath, got {type(config.bath).__name__}"
-        )
+    check_applicable(CycleKind.SECOND_KIND, config.bath)
     n1, n2 = _occupations(config)
     dn = config.bath.excess_for(config.omega2, config.t2)
     nc = n2 + dn
@@ -387,12 +380,19 @@ def second_kind_cycle(config: CycleConfig) -> StrokeLedger:
     tol = _TIE_TOL * scale
     net = -(o2 - o1) * excess
     eta, reason = _engine_efficiency(net, e2, tol)
-    regime = RegimeTag.GENUINE_HEAT_ENGINE if net <= tol else RegimeTag.NOT_ENGINE
     return StrokeLedger(
         kind=CycleKind.SECOND_KIND,
         w1=w1, w2=0.0, w3=w3, w4=0.0, q2=q2, q4=q4, e2=e2, e4=e4,
-        eta=eta, cop=None, regime=regime, eta_reason=reason,
+        eta=eta, cop=None, regime=_classify_second_kind(net, tol), eta_reason=reason,
     )
+
+
+# The one cycle dispatch table: each cycle kind to its evaluator.
+CYCLE_EVALUATORS = {
+    CycleKind.STANDARD: standard_cycle,
+    CycleKind.MODIFIED: modified_cycle,
+    CycleKind.SECOND_KIND: second_kind_cycle,
+}
 
 
 def _engine_efficiency(net: float, e2: float, tol: float) -> tuple[float | None, str | None]:
@@ -404,6 +404,8 @@ def _engine_efficiency(net: float, e2: float, tol: float) -> tuple[float | None,
     return -net / e2, None
 
 
+# One regime rule per cycle kind, shared by the evaluators and classify_regime.
+# `net` is the cycle's piston work; ties within `tol` go to the engine side.
 def _classify_first_kind(net: float, q2: float, e4: float, tol: float) -> RegimeTag:
     if net > tol:
         return RegimeTag.NOT_ENGINE
@@ -412,6 +414,16 @@ def _classify_first_kind(net: float, q2: float, e4: float, tol: float) -> Regime
     if e4 > tol:
         return RegimeTag.SUPER_CARNOT_ENGINE_REFRIGERATOR
     return RegimeTag.SUPER_CARNOT_ENGINE_HEAT_PUMP
+
+
+def _classify_modified(net: float, n1: float, n2: float, tol: float) -> RegimeTag:
+    if n2 >= n1:
+        return RegimeTag.SUB_CARNOT_HYBRID_ENGINE
+    return RegimeTag.DUAL_ENGINE_REFRIGERATOR if net <= tol else RegimeTag.NOT_ENGINE
+
+
+def _classify_second_kind(net: float, tol: float) -> RegimeTag:
+    return RegimeTag.GENUINE_HEAT_ENGINE if net <= tol else RegimeTag.NOT_ENGINE
 
 
 def classify_regime(config: CycleConfig, ledger: StrokeLedger) -> RegimeTag:
@@ -423,20 +435,9 @@ def classify_regime(config: CycleConfig, ledger: StrokeLedger) -> RegimeTag:
     """
     tol = _TIE_TOL * ledger.energy_scale
     if ledger.kind is CycleKind.SECOND_KIND:
-        return (
-            RegimeTag.GENUINE_HEAT_ENGINE
-            if ledger.net_work <= tol
-            else RegimeTag.NOT_ENGINE
-        )
+        return _classify_second_kind(ledger.net_work, tol)
     if ledger.kind is CycleKind.MODIFIED:
-        n1, n2 = _occupations(config)
-        if n2 < n1:
-            return (
-                RegimeTag.DUAL_ENGINE_REFRIGERATOR
-                if ledger.net_work <= tol
-                else RegimeTag.NOT_ENGINE
-            )
-        return RegimeTag.SUB_CARNOT_HYBRID_ENGINE
+        return _classify_modified(ledger.net_work, *_occupations(config), tol)
     return _classify_first_kind(ledger.net_work, ledger.q2, ledger.e4, tol)
 
 

@@ -4,8 +4,7 @@ Sweeps walk a uniform, endpoint-inclusive grid along one axis of a base
 cycle configuration and evaluate the chosen cycle at every point. Per-point
 physics and arithmetic errors (e.g. an invalid second-kind excess, or a
 squeezing too large for a double) become row-level flags; a sweep never
-aborts. Rows always come back in axis order, also when grid points are
-evaluated in parallel (OTTO_FORGE_THREADS caps the worker count).
+aborts. Rows come back in axis order.
 
 The delta-n axis deserves a note: for a second-kind bath it sets the excess
 directly, while for squeezed or displaced baths the bath parameter (r or
@@ -19,15 +18,14 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import OttoForgeError
+from .errors import NotApplicable, OttoForgeError
 from .cycles import (
+    CYCLE_EVALUATORS,
     BathSpec,
     CycleConfig,
     CycleKind,
@@ -40,6 +38,7 @@ from .cycles import (
     ThermalBath,
     audit_laws,
     bath_wf_state,
+    check_applicable,
     modified_cycle,
     second_kind_cycle,
     standard_cycle,
@@ -64,11 +63,24 @@ TABLE_COLUMNS = (
     "law_residual",
 )
 
-_CYCLE_FN = {
-    CycleKind.STANDARD: standard_cycle,
-    CycleKind.MODIFIED: modified_cycle,
-    CycleKind.SECOND_KIND: second_kind_cycle,
-}
+
+def ledger_record(ledger: StrokeLedger, law: LawReport) -> dict:
+    """The table columns after `axis` for one ledger and its law audit."""
+    return {
+        "W1": ledger.w1,
+        "W2": ledger.w2,
+        "W3": ledger.w3,
+        "W3_prime": ledger.w3_prime,
+        "W4": ledger.w4,
+        "Q2": ledger.q2,
+        "Q4": ledger.q4,
+        "E2": ledger.e2,
+        "E4": ledger.e4,
+        "eta": ledger.eta,
+        "cop": ledger.cop,
+        "regime": ledger.regime.value,
+        "law_residual": law.first_law_residual,
+    }
 
 
 class SweepAxis(Enum):
@@ -105,12 +117,10 @@ class SweepSpec:
 
     def _check_cycle(self) -> None:
         """Refuse a cycle/bath pair for which every row would be NotApplicable."""
-        bath, kind = self.base.bath, self.cycle_kind
-        second_kind = isinstance(bath, SecondKindBath)
-        if (kind is CycleKind.SECOND_KIND) != second_kind or (
-            kind is CycleKind.MODIFIED and isinstance(bath, ThermalBath)
-        ):
-            raise ValueError(f"the {kind.value} cycle does not apply to a {type(bath).__name__}")
+        try:
+            check_applicable(self.cycle_kind, self.base.bath)
+        except NotApplicable as exc:
+            raise ValueError(str(exc)) from None
 
     def _check_axis(self) -> None:
         bath = self.base.bath
@@ -163,7 +173,6 @@ class SweepSpec:
             n2 = occupation(base.omega2, base.t2)
             r = math.asinh(math.sqrt(value / (2.0 * n2 + 1.0)))
             return replace(base, bath=SqueezedThermalBath(r=r))
-        n2 = occupation(base.omega2, base.t2)
         return replace(base, bath=DisplacedThermalBath(alpha=math.sqrt(value)))
 
 
@@ -177,14 +186,9 @@ class SweepRow:
     error: str | None = None
 
 
-def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[SweepRow]:
-    """Evaluate the sweep, one row per grid point, in axis order.
-
-    max_workers defaults to the OTTO_FORGE_THREADS environment variable
-    (sequential when unset). Rows are independent, so the result does not
-    depend on the worker count.
-    """
-    cycle = _CYCLE_FN[spec.cycle_kind]
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Evaluate the sweep, one row per grid point, in axis order."""
+    cycle = CYCLE_EVALUATORS[spec.cycle_kind]
 
     def point(value: float) -> SweepRow:
         v = float(value)
@@ -195,39 +199,16 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[SweepRow]
         except (OttoForgeError, ValueError, ArithmeticError) as exc:
             return SweepRow(v, None, None, f"{type(exc).__name__}: {exc}")
 
-    values = spec.grid()
-    if max_workers is None:
-        max_workers = int(os.environ.get("OTTO_FORGE_THREADS", "1") or "1")
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(point, values))
-    return [point(v) for v in values]
+    return [point(v) for v in spec.grid()]
 
 
 def row_record(row: SweepRow) -> dict:
     """Flatten a sweep row to the stable table schema."""
-    record = dict.fromkeys(TABLE_COLUMNS)
-    record["axis"] = row.axis_value
     if row.error is not None:
-        record["regime"] = f"error:{row.error}"
-        return record
-    ledger = row.ledger
-    record.update(
-        W1=ledger.w1,
-        W2=ledger.w2,
-        W3=ledger.w3,
-        W3_prime=ledger.w3_prime,
-        W4=ledger.w4,
-        Q2=ledger.q2,
-        Q4=ledger.q4,
-        E2=ledger.e2,
-        E4=ledger.e4,
-        eta=ledger.eta,
-        cop=ledger.cop,
-        regime=ledger.regime.value,
-        law_residual=row.law.first_law_residual,
-    )
-    return record
+        return dict.fromkeys(TABLE_COLUMNS) | {
+            "axis": row.axis_value, "regime": f"error:{row.error}"
+        }
+    return {"axis": row.axis_value} | ledger_record(row.ledger, row.law)
 
 
 def _csv_cell(value) -> str:
@@ -331,7 +312,10 @@ class _AuditTally:
         self.bound_checked = 0
         self.bound_violations = 0
 
-    def add(self, ledger: StrokeLedger, law: LawReport, bound: float | None) -> None:
+    def add(
+        self, ledger: StrokeLedger, law: LawReport, value: float | None, bound: float | None
+    ) -> None:
+        """Count one ledger; `value` (eta or COP) is checked against `bound` when given."""
         self.ledgers += 1
         self.max_residual = max(self.max_residual, law.first_law_residual)
         if law.first_law_residual > _FIRST_LAW_TOL:
@@ -344,6 +328,8 @@ class _AuditTally:
             self.engines += 1
         if bound is not None:
             self.bound_checked += 1
+            if value > bound + _INEQUALITY_TOL:
+                self.bound_violations += 1
 
 
 def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSummary:
@@ -399,9 +385,7 @@ def _audit_first_kind(config: CycleConfig, tally: _AuditTally) -> None:
         theta = fictitious_temperature(config.omega2, n2, dn)
         if theta > 0.0:
             bound = 1.0 - config.t1 / theta
-    tally.add(ledger, law, bound)
-    if bound is not None and ledger.eta > bound + _INEQUALITY_TOL:
-        tally.bound_violations += 1
+    tally.add(ledger, law, ledger.eta, bound)
 
     if dn > 0.0:
         mod = modified_cycle(config)
@@ -409,9 +393,7 @@ def _audit_first_kind(config: CycleConfig, tally: _AuditTally) -> None:
         cop_bound = None
         if mod.cop is not None and config.t2 > config.t1:
             cop_bound = config.t1 / (config.t2 - config.t1)
-        tally.add(mod, mod_law, cop_bound)
-        if cop_bound is not None and mod.cop > cop_bound + _INEQUALITY_TOL:
-            tally.bound_violations += 1
+        tally.add(mod, mod_law, mod.cop, cop_bound)
 
 
 def _audit_second_kind(config: CycleConfig, tally: _AuditTally) -> None:
@@ -420,6 +402,4 @@ def _audit_second_kind(config: CycleConfig, tally: _AuditTally) -> None:
     bound = None
     if ledger.eta is not None and law.hot_temperature and law.hot_temperature > 0.0:
         bound = 1.0 - config.t1 / law.hot_temperature
-    tally.add(ledger, law, bound)
-    if bound is not None and ledger.eta > bound + _INEQUALITY_TOL:
-        tally.bound_violations += 1
+    tally.add(ledger, law, ledger.eta, bound)

@@ -229,18 +229,55 @@ class TestAuditCommand:
         ("audit", "--samples", "5", "--seed", "-1"),
         ("ergotropy", "--nth", "0.2", "--omega", "20", "--oracle", "--tail-tol", "2"),
         ("ergotropy", "--nth", "0.2", "--omega", "20", "--oracle", "--tail-tol", "0"),
+        ("audit", {"samples": "abc", "seed": 1}),
+        ("ergotropy", "--oracle", {"nth": 0.2, "omega": "abc"}),
+        ("audit", "--samples", "5", "--seed", "1", {"family": "third-kind"}),
+        ("cycle", *FIG5, "--bath", "squeezed:0.5+squeezed:0.7"),
     ],
 )
-def test_out_of_range_values_are_usage_errors(capsys, monkeypatch, argv):
+def test_out_of_range_values_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
     def no_oracle(*args, **kwargs):
         raise AssertionError("the oracle ran on an invalid tail tolerance")
 
     monkeypatch.setattr("otto_forge.cli.choose_cutoff", no_oracle)
+    if isinstance(argv[-1], dict):  # a trailing dict goes in through --config
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = (*argv[:-1], "--config", str(path))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("bath", ["squeezed:1e308", "displaced:1e200,0"])
+def test_overflowing_bath_is_physics_error(capsys, bath):
+    code, out, err = run_cli(capsys, "cycle", *FIG5, "--bath", bath)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("physics error: OverflowError")
+
+
+@pytest.mark.parametrize(
+    "bath, cycle",
+    [("thermal", "standard"), ("squeezed:0.5", "modified"), ("second-kind:0.3", "second-kind")],
+)
+def test_cycle_json_matches_sweep_row(capsys, bath, cycle):
+    base = (*FIG5, "--bath", bath, "--cycle", cycle)
+    code, out, _ = run_cli(capsys, "cycle", *base)
+    assert code == 0
+    single = json.loads(out)
+    # the cold-temperature grid starts at the base config's T1 = 2 exactly
+    code, out, _ = run_cli(
+        capsys, "sweep", *base, "--axis", "cold-temperature",
+        "--start", "2", "--stop", "10", "--steps", "2", "--format", "json",
+    )
+    assert code == 0
+    row = json.loads(out)[0]
+    shared = set(single) & set(row)
+    assert shared == set(row) - {"axis"}
+    assert {key: single[key] for key in shared} == {key: row[key] for key in shared}
 
 
 class TestConfigFile:

@@ -11,8 +11,10 @@ from otto_forge import (
     CycleConfig,
     CycleKind,
     DisplacedThermalBath,
+    NotApplicable,
     RegimeTag,
     SecondKindBath,
+    SqueezedDisplacedBath,
     SqueezedThermalBath,
     SweepAxis,
     SweepSpec,
@@ -22,6 +24,7 @@ from otto_forge import (
     occupation,
     run_sweep,
 )
+from otto_forge.cycles import CYCLE_EVALUATORS
 from otto_forge.sweeps import TABLE_COLUMNS, row_record
 
 FIG5_BASE = CycleConfig(7, 20, 2, 10, SqueezedThermalBath(0.5))
@@ -74,12 +77,15 @@ class TestSweepSpecValidation:
             (SecondKindBath(excess=0.2), CycleKind.STANDARD),
             (SecondKindBath(excess=0.2), CycleKind.MODIFIED),
             (ThermalBath(), CycleKind.MODIFIED),
+            (SqueezedDisplacedBath(0.5, 1.0), CycleKind.SECOND_KIND),
         ],
     )
     def test_cycle_bath_pair_that_never_applies(self, bath, kind):
         base = CycleConfig(7, 20, 2, 10, bath)
         with pytest.raises(ValueError, match="does not apply"):
             SweepSpec(base, SweepAxis.FREQUENCY_RATIO, 0.1, 1.0, 5, kind)
+        with pytest.raises(NotApplicable, match="does not apply"):
+            CYCLE_EVALUATORS[kind](base)
 
     @pytest.mark.parametrize(
         "bath, kind",
@@ -88,12 +94,17 @@ class TestSweepSpecValidation:
             (SqueezedThermalBath(0.5), CycleKind.MODIFIED),
             (DisplacedThermalBath(1.0), CycleKind.MODIFIED),
             (SecondKindBath(excess=0.2), CycleKind.SECOND_KIND),
+            (SqueezedThermalBath(0.5), CycleKind.STANDARD),
+            (DisplacedThermalBath(1.0), CycleKind.STANDARD),
+            (SqueezedDisplacedBath(0.5, 1.0), CycleKind.STANDARD),
+            (SqueezedDisplacedBath(0.5, 1.0), CycleKind.MODIFIED),
         ],
     )
     def test_cycle_bath_pair_that_applies(self, bath, kind):
         base = CycleConfig(7, 20, 2, 10, bath)
         rows = run_sweep(SweepSpec(base, SweepAxis.FREQUENCY_RATIO, 0.1, 1.0, 5, kind))
         assert all(row.error is None for row in rows)
+        CYCLE_EVALUATORS[kind](base)  # raises no NotApplicable
 
     def test_cold_temperature_stays_below_t2(self):
         with pytest.raises(ValueError):
@@ -184,17 +195,6 @@ class TestRunSweep:
         )
         rows = run_sweep(spec)
         assert rows[0].ledger.e2 == pytest.approx(rows[1].ledger.e2, rel=1e-12)
-
-    def test_parallel_execution_preserves_order_and_values(self):
-        spec = fig5_delta_n_spec(steps=41)
-        sequential = emit_table(run_sweep(spec, max_workers=1))
-        threaded = emit_table(run_sweep(spec, max_workers=4))
-        assert sequential == threaded
-
-    def test_workers_from_environment(self, monkeypatch):
-        monkeypatch.setenv("OTTO_FORGE_THREADS", "3")
-        spec = fig5_delta_n_spec(steps=11)
-        assert emit_table(run_sweep(spec)) == emit_table(run_sweep(spec, max_workers=1))
 
 
 class TestEmitTable:
