@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -135,6 +136,15 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise _UsageError(f"missing required argument(s): {flags}")
 
 
+def _print_json(payload: dict) -> None:
+    """Print the payload as strict JSON; a non-finite number is a numerics error."""
+    bad = [key for key, value in payload.items()
+           if isinstance(value, float) and not math.isfinite(value)]
+    if bad:
+        raise OverflowError(f"non-finite result: {', '.join(bad)}")
+    print(json.dumps(payload, allow_nan=False))
+
+
 def _cmd_cycle(args: argparse.Namespace) -> int:
     _merge_config(args)
     args.cycle = args.cycle or "standard"
@@ -158,7 +168,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
         "eta_reason": ledger.eta_reason,
         "note": ledger.note,
     }
-    print(json.dumps(record))
+    _print_json(record)
     return 0
 
 
@@ -198,19 +208,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_ergotropy(args: argparse.Namespace) -> int:
     _merge_config(args)
     _require(args, "nth", "omega")
+    omega = float(args.omega)
     try:
         state = GaussianModeState(
             n_th=args.nth,
             r=args.r or 0.0,
             alpha=complex(args.alpha_re or 0.0, args.alpha_im or 0.0),
         )
+        analytic = ergotropy_analytic(state, omega)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     tail_tol = args.tail_tol if args.tail_tol is not None else 1e-12
     if args.oracle and not 0.0 < tail_tol < 1.0:
         raise _UsageError(f"--tail-tol must lie in (0, 1), got {tail_tol!r}")
-    omega = float(args.omega)
-    analytic = ergotropy_analytic(state, omega)
     payload = {
         "n_th": state.n_th,
         "r": state.r,
@@ -238,7 +248,7 @@ def _cmd_ergotropy(args: argparse.Namespace) -> int:
                 "entropy_dev": abs(oracle_s - thermal_entropy(state.n_th)),
             }
         )
-    print(json.dumps(payload))
+    _print_json(payload)
     return 0
 
 
@@ -251,7 +261,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise _UsageError("--seed must be non-negative")
     summary = audit_campaign(args.samples, args.seed, family=args.family)
-    print(json.dumps(vars(summary) | {"ok": summary.ok}))
+    _print_json(vars(summary) | {"ok": summary.ok})
     return 0 if summary.ok else 3
 
 

@@ -27,17 +27,31 @@ Second-kind baths thermalise the working fluid; every stroke-2/4 exchange is
 heat, and the Carnot bound at the real temperature T_real applies.
 
 A degenerate cycle (E2 = 0) is not an error: the ledger is returned with the
-efficiency marked undefined and the reason recorded.
+efficiency marked undefined and the reason recorded. A ledger entry beyond
+the double range is an OverflowError.
+
+Every evaluation runs through one column kernel, `ledger_columns`: given
+arrays of omega1, omega2, T1, T2 and delta_n it returns every ledger column,
+with the regime and efficiency rules applied as masks. The scalar
+evaluators, sweeps and audits all call it; a scalar evaluation is a size-1
+call. Its transcendentals (occupations, temperatures) run element by element
+through `math`, that is libm, because numpy's vectorised loops differ from
+libm by an ulp or two on some inputs, which the cancellation in
+Q2 = omega2 (n2 - n1) amplifies. Only + - * /, comparisons, abs, max and
+where run as numpy ufuncs, which round exactly as the scalar expressions do.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Union
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Union
 
-from .errors import InvalidExcess, NotApplicable
+import numpy as np
+
+from .errors import InvalidExcess, NotApplicable, OttoForgeError
 from .gaussian import GaussianModeState, delta_n
 from .thermo import (
     invert_occupation,
@@ -52,6 +66,14 @@ _TIE_TOL = 1e-12
 @dataclass(frozen=True)
 class ThermalBath:
     """Plain thermal bath at the cycle's T2."""
+
+
+def finite_displacement(alpha: complex) -> complex:
+    """alpha as a complex number; ValueError unless both parts are finite."""
+    alpha = complex(alpha)
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        raise ValueError(f"displacement must be finite, got {alpha!r}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -72,9 +94,7 @@ class DisplacedThermalBath:
     alpha: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        if not (math.isfinite(self.alpha.real) and math.isfinite(self.alpha.imag)):
-            raise ValueError(f"displacement must be finite, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", finite_displacement(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -88,8 +108,7 @@ class SqueezedDisplacedBath:
         object.__setattr__(self, "alpha", complex(self.alpha))
         if not math.isfinite(self.r) or self.r < 0.0:
             raise ValueError(f"squeezing amplitude must be non-negative, got {self.r!r}")
-        if not (math.isfinite(self.alpha.real) and math.isfinite(self.alpha.imag)):
-            raise ValueError(f"displacement must be finite, got {self.alpha!r}")
+        finite_displacement(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -246,7 +265,7 @@ class StrokeLedger:
 
     @property
     def energy_scale(self) -> float:
-        return max(abs(x) for x in self.energies)
+        return float(_energy_scale(*self.energies))
 
     @property
     def net_work(self) -> float:
@@ -272,9 +291,7 @@ def standard_cycle(config: CycleConfig) -> StrokeLedger:
     efficiency is -(W1+W3)/E2 = 1 - omega1/omega2 regardless of delta_n.
     """
     check_applicable(CycleKind.STANDARD, config.bath)
-    n1, n2 = _occupations(config)
-    dn = delta_n(bath_wf_state(config.bath, n2))
-    return _first_kind_ledger(config, n1, n2, dn, modified=False)
+    return _single_ledger(CycleKind.STANDARD, config, _first_kind_excess(config))
 
 
 def modified_cycle(config: CycleConfig) -> StrokeLedger:
@@ -285,73 +302,7 @@ def modified_cycle(config: CycleConfig) -> StrokeLedger:
     `note`. The undo is treated as exact and cost-free.
     """
     check_applicable(CycleKind.MODIFIED, config.bath)
-    n1, n2 = _occupations(config)
-    dn = delta_n(bath_wf_state(config.bath, n2))
-    if dn == 0.0:
-        ledger = _first_kind_ledger(config, n1, n2, dn, modified=False)
-        return replace(ledger, note="delta_n = 0: nothing to undo, standard-cycle ledger")
-    return _first_kind_ledger(config, n1, n2, dn, modified=True)
-
-
-def _first_kind_ledger(
-    config: CycleConfig, n1: float, n2: float, dn: float, modified: bool
-) -> StrokeLedger:
-    o1, o2 = config.omega1, config.omega2
-    w1 = (o2 - o1) * (n1 + 0.5)
-    q2 = o2 * (n2 - n1)
-    w2 = o2 * dn
-    e2 = w2 + q2
-    q4 = o1 * (n1 - n2)
-
-    # Factored net work avoids the catastrophic cancellation of w1 + w3 near
-    # the engine boundary; `excess` is the engine margin n2 + dn - n1.
-    excess = (n2 - n1) + dn
-
-    if not modified:
-        w3 = (o1 - o2) * (n2 + dn + 0.5)
-        w4 = -o1 * dn
-        e4 = w4 + q4
-        net = -(o2 - o1) * excess
-        scale = max(abs(x) for x in (w1, w2, w3, w4, q2, q4, e2, e4))
-        tol = _TIE_TOL * scale
-        eta, reason = _engine_efficiency(net, e2, tol)
-        regime = _classify_first_kind(net, q2, e4, tol)
-        return StrokeLedger(
-            kind=CycleKind.STANDARD,
-            w1=w1, w2=w2, w3=w3, w4=w4, q2=q2, q4=q4, e2=e2, e4=e4,
-            eta=eta, cop=None, regime=regime, eta_reason=reason,
-        )
-
-    w3_th = (o1 - o2) * (n2 + 0.5)
-    w3_nonpas = -w2
-    w3p = w3_th + w3_nonpas
-    w4 = 0.0
-    e4 = w4 + q4
-    scale = max(abs(x) for x in (w1, w2, w3p, w4, q2, q4, e2, e4))
-    tol = _TIE_TOL * scale
-    common = dict(
-        kind=CycleKind.MODIFIED,
-        w1=w1, w2=w2, w3=w3p, w4=w4, q2=q2, q4=q4, e2=e2, e4=e4,
-        w3_prime=w3p, w3_th=w3_th, w3_nonpas=w3_nonpas,
-    )
-
-    net = (o2 - o1) * (n1 - n2) - o2 * dn
-    regime = _classify_modified(net, n1, n2, tol)
-    if regime is RegimeTag.SUB_CARNOT_HYBRID_ENGINE:
-        # engine only; heat is still dumped into the cold bath (q4 <= 0)
-        eta = 1.0 - (o1 * (n2 - n1)) / (o2 * excess)
-        return StrokeLedger(**common, eta=eta, cop=None, regime=regime)
-
-    # n2 < n1: the cycle refrigerates the cold bath (q4 > 0). It is a dual
-    # engine/refrigerator only if the piston still extracts net work.
-    w_inv = w1 + w2 + w3p
-    cop = o1 / (o2 - o1)  # n2 < n1 forces o1 < o2 under t1 <= t2
-    if regime is RegimeTag.DUAL_ENGINE_REFRIGERATOR:
-        return StrokeLedger(**common, eta=1.0, cop=cop, w_inv=w_inv, regime=regime)
-    return StrokeLedger(
-        **common, eta=None, cop=cop, w_inv=w_inv, regime=regime,
-        eta_reason="refrigerates but consumes piston work (W1 + W3' > 0)",
-    )
+    return _single_ledger(CycleKind.MODIFIED, config, _first_kind_excess(config))
 
 
 def second_kind_cycle(config: CycleConfig) -> StrokeLedger:
@@ -362,29 +313,18 @@ def second_kind_cycle(config: CycleConfig) -> StrokeLedger:
     T_real = invert_occupation(omega2, n2 + delta_n).
     """
     check_applicable(CycleKind.SECOND_KIND, config.bath)
-    n1, n2 = _occupations(config)
     dn = config.bath.excess_for(config.omega2, config.t2)
-    nc = n2 + dn
-    if nc < 0.0:
-        raise InvalidExcess(
-            f"excess {dn!r} would drive the working fluid to occupation {nc!r} < 0"
-        )
-    o1, o2 = config.omega1, config.omega2
-    w1 = (o2 - o1) * (n1 + 0.5)
-    w3 = (o1 - o2) * (nc + 0.5)
-    excess = (n2 - n1) + dn
-    q2 = o2 * excess
-    q4 = -o1 * excess
-    e2, e4 = q2, q4
-    scale = max(abs(x) for x in (w1, w3, q2, q4))
-    tol = _TIE_TOL * scale
-    net = -(o2 - o1) * excess
-    eta, reason = _engine_efficiency(net, e2, tol)
-    return StrokeLedger(
-        kind=CycleKind.SECOND_KIND,
-        w1=w1, w2=0.0, w3=w3, w4=0.0, q2=q2, q4=q4, e2=e2, e4=e4,
-        eta=eta, cop=None, regime=_classify_second_kind(net, tol), eta_reason=reason,
-    )
+    return _single_ledger(CycleKind.SECOND_KIND, config, dn)
+
+
+def _first_kind_excess(config: CycleConfig) -> float:
+    n2 = occupation(config.omega2, config.t2)
+    return delta_n(bath_wf_state(config.bath, n2))
+
+
+def _single_ledger(kind: CycleKind, config: CycleConfig, dn: float) -> StrokeLedger:
+    columns = ledger_columns(kind, config.omega1, config.omega2, config.t1, config.t2, dn)
+    return columns.ledger(0)
 
 
 # The one cycle dispatch table: each cycle kind to its evaluator.
@@ -395,35 +335,346 @@ CYCLE_EVALUATORS = {
 }
 
 
-def _engine_efficiency(net: float, e2: float, tol: float) -> tuple[float | None, str | None]:
-    """-(net work)/E2 in the engine regime, None with a reason otherwise."""
-    if net > tol:
-        return None, "not an engine: the piston absorbs net work"
-    if e2 <= tol:
-        return None, "degenerate cycle: no energy input in stroke 2 (E2 = 0)"
-    return -net / e2, None
+# Column codes. A regime column holds indices into _REGIMES; an eta-reason
+# column holds indices into _ETA_REASONS, 0 meaning that eta is defined.
+_REGIMES = tuple(RegimeTag)
+_CODE = {tag: code for code, tag in enumerate(_REGIMES)}
+_ETA_REASONS = (
+    None,
+    "not an engine: the piston absorbs net work",
+    "degenerate cycle: no energy input in stroke 2 (E2 = 0)",
+    "refrigerates but consumes piston work (W1 + W3' > 0)",
+)
+_NOT_AN_ENGINE, _DEGENERATE, _CONSUMES_WORK = 1, 2, 3
+_NOTHING_TO_UNDO = "delta_n = 0: nothing to undo, standard-cycle ledger"
+
+# The exceptions a row's evaluation may raise; each becomes that row's error.
+ROW_ERRORS = (OttoForgeError, ValueError, ArithmeticError)
 
 
-# One regime rule per cycle kind, shared by the evaluators and classify_regime.
+def _fail(errors: np.ndarray, rows, exc: Exception) -> None:
+    """Record `exc` as the error of every selected row that has not failed yet."""
+    mask = np.zeros(len(errors), dtype=bool)
+    mask[rows] = True
+    mask &= np.equal(errors, None)
+    errors[mask] = exc
+
+
+def rowwise(fn: Callable[..., float], errors: np.ndarray, *columns) -> np.ndarray:
+    """`fn` applied to each row of the broadcast columns, as len(errors) floats.
+
+    Each call gets Python numbers, so its transcendentals run through libm
+    exactly as in a scalar call. Columns that hold one value (scalars or
+    broadcasts) are evaluated once. A row whose call raises one of
+    ROW_ERRORS gets NaN, and the exception in `errors` unless the row has
+    already failed.
+    """
+    n = len(errors)
+    columns = [np.asarray(c) for c in columns]
+    if n and all(c.ndim == 0 or c.strides[0] == 0 for c in columns):
+        try:
+            value = fn(*(c.item(0) for c in columns))
+        except ROW_ERRORS as exc:
+            value = math.nan
+            _fail(errors, slice(None), exc)
+        return np.full(n, value, dtype=float)
+    lists = [c.tolist() if c.ndim else [c.item()] * n for c in columns]
+    try:
+        return np.array(list(map(fn, *lists)), dtype=float)
+    except ROW_ERRORS:
+        pass
+    values = []
+    for i, args in enumerate(zip(*lists)):
+        try:
+            values.append(fn(*args))
+        except ROW_ERRORS as exc:
+            values.append(math.nan)
+            _fail(errors, i, exc)
+    return np.array(values, dtype=float)
+
+
+@dataclass(eq=False)
+class LedgerColumns:
+    """The ledgers of n cycle evaluations, one length-n array per entry.
+
+    The inputs (omega1, omega2, t1, t2, dn) and the occupations n1, n2 are
+    kept with the ledger entries. Entries a StrokeLedger leaves as None hold
+    NaN: eta and cop outside their regimes, w_inv without refrigeration, and
+    the stroke-3 split w3_th, w3_nonpas outside the modified ledger. `split`
+    marks the rows that hold a modified ledger; the other rows of a modified
+    call fell back to the standard one (delta_n = 0). `errors` holds, for
+    each failed row, the exception its scalar evaluation raises; the
+    numbers of such a row mean nothing.
+    """
+
+    kind: CycleKind
+    omega1: np.ndarray
+    omega2: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+    dn: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    w3: np.ndarray
+    w4: np.ndarray
+    q2: np.ndarray
+    q4: np.ndarray
+    e2: np.ndarray
+    e4: np.ndarray
+    w3_th: np.ndarray
+    w3_nonpas: np.ndarray
+    eta: np.ndarray
+    cop: np.ndarray
+    w_inv: np.ndarray
+    regime: np.ndarray
+    reason: np.ndarray
+    split: np.ndarray
+    law_residual: np.ndarray
+    errors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    @property
+    def failed(self) -> np.ndarray:
+        return np.not_equal(self.errors, None)
+
+    def take(self, index) -> LedgerColumns:
+        """The rows selected by an index, slice or mask, as columns."""
+        return replace(self, **{
+            f.name: getattr(self, f.name)[index] for f in fields(self) if f.name != "kind"
+        })
+
+    def regime_cells(self, cell: Callable[[str], str]) -> list[str]:
+        """cell(regime tag value) of each row, one call per tag (meaningless for failed rows)."""
+        cells = [cell(tag.value) for tag in _REGIMES]
+        return [cells[code] for code in self.regime.tolist()]
+
+    def ledger(self, i: int) -> StrokeLedger:
+        """Row i as a StrokeLedger; raises the row's exception if it failed."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        split = bool(self.split[i])
+        # a modified call's row without the split fell back to the standard ledger
+        kind = CycleKind.STANDARD if self.kind is CycleKind.MODIFIED and not split else self.kind
+        w3 = self.w3[i].item()
+        return StrokeLedger(
+            kind=kind,
+            w1=self.w1[i].item(), w2=self.w2[i].item(), w3=w3, w4=self.w4[i].item(),
+            q2=self.q2[i].item(), q4=self.q4[i].item(), e2=self.e2[i].item(), e4=self.e4[i].item(),
+            eta=_defined(self.eta[i]), cop=_defined(self.cop[i]),
+            regime=_REGIMES[self.regime[i]],
+            w3_prime=w3 if split else None,
+            w3_th=_defined(self.w3_th[i]), w3_nonpas=_defined(self.w3_nonpas[i]),
+            w_inv=_defined(self.w_inv[i]),
+            eta_reason=_ETA_REASONS[self.reason[i]],
+            note=_NOTHING_TO_UNDO if self.kind is CycleKind.MODIFIED and not split else None,
+        )
+
+    def law(self, i: int) -> LawReport:
+        """The law audit of row i's ledger (the row must not have failed)."""
+        return _law_report(
+            self.kind is CycleKind.SECOND_KIND,
+            *(getattr(self, name)[i].item() for name in (
+                "law_residual", "q2", "q4", "omega2", "t1", "t2", "n1", "n2", "dn")),
+        )
+
+    def hot_temperatures(self) -> np.ndarray:
+        """The hot temperature of each row's Clausius sum (see LawReport)."""
+        if self.kind is not CycleKind.SECOND_KIND:
+            return self.t2
+        hot = functools.partial(_hot_temperature, True)
+        return rowwise(hot, self.errors, self.omega2, self.t2, self.n2, self.dn)
+
+    def clausius_sums(self, hot: np.ndarray) -> np.ndarray:
+        """Q2/T_hot + Q4/T1 per row, NaN where a zero temperature skips the check."""
+        return _clausius_sums(self.q2, self.q4, hot, self.t1)
+
+
+def _defined(value: np.floating) -> float | None:
+    value = value.item()
+    return None if math.isnan(value) else value
+
+
+def ledger_columns(
+    kind: CycleKind, omega1, omega2, t1, t2, dn, errors: np.ndarray | None = None
+) -> LedgerColumns:
+    """Every ledger column of the `kind` cycle, one row per element of the inputs.
+
+    omega1, omega2, t1, t2 and dn (the bath's excess delta_n) broadcast to
+    one length. Each row must satisfy CycleConfig's invariants; none is
+    checked here. `errors`, if given, is an object array of that length
+    whose non-None rows already failed (computing dn); it is filled in place
+    with the rows that fail here: an invalid second-kind excess
+    (InvalidExcess), a ledger entry beyond the double range (OverflowError)
+    or a vanishing hybrid-engine denominator (ZeroDivisionError).
+    """
+    inputs = [np.asarray(x, dtype=float) for x in (omega1, omega2, t1, t2, dn)]
+    n = len(errors) if errors is not None else max(x.size for x in inputs)
+    o1, o2, t1, t2, dn = (_column(x, n) for x in inputs)
+    if errors is None:
+        errors = np.full(n, None, dtype=object)
+    n1 = rowwise(occupation, errors, o1, t1)
+    n2 = rowwise(occupation, errors, o2, t2)
+    # failed rows carry NaN and overflowing ones inf; both end up in `errors`
+    with np.errstate(all="ignore"):
+        if kind is CycleKind.SECOND_KIND:
+            columns = _second_kind_columns(o1, o2, n1, n2, dn, errors)
+        else:
+            columns = _first_kind_columns(o1, o2, n1, n2, dn, errors, kind is CycleKind.MODIFIED)
+        scale = columns.pop("scale")
+        columns["law_residual"] = _first_law_residual(
+            *(columns[name] for name in ("w1", "w2", "w3", "w4", "q2", "q4")), scale
+        )
+    # np.maximum passes NaN and inf on, so the energy scale is finite exactly
+    # when every stroke energy is; the other entries are sums and quotients
+    # of finite energies, which can only overflow.
+    bad = ~np.isfinite(scale)
+    for name in ("law_residual", "eta", "cop", "w_inv"):
+        bad |= np.isinf(columns[name])
+    if bad.any():
+        _fail(errors, bad, OverflowError("a ledger entry exceeds the double range"))
+    return LedgerColumns(kind, o1, o2, t1, t2, dn, n1, n2, errors=errors, **columns)
+
+
+def _column(values: np.ndarray, n: int) -> np.ndarray:
+    """`values` (one value or n of them) as a length-n array, a view when possible."""
+    if values.shape == (n,):
+        return values
+    return values.reshape(1) if n == 1 else np.broadcast_to(values, (n,))
+
+
+def _first_kind_columns(o1, o2, n1, n2, dn, errors, modified: bool) -> dict:
+    w1 = (o2 - o1) * (n1 + 0.5)
+    q2 = o2 * (n2 - n1)
+    w2 = o2 * dn
+    e2 = w2 + q2
+    q4 = o1 * (n1 - n2)
+
+    # Factored net work avoids the catastrophic cancellation of w1 + w3 near
+    # the engine boundary; `excess` is the engine margin n2 + dn - n1.
+    excess = (n2 - n1) + dn
+
+    w3 = (o1 - o2) * (n2 + dn + 0.5)
+    w4 = -o1 * dn
+    e4 = w4 + q4
+    net = -(o2 - o1) * excess
+    scale = _energy_scale(w1, w2, w3, w4, q2, q4, e2, e4)
+    tol = _TIE_TOL * scale
+    eta, reason = _engine_efficiency(net, e2, tol)
+    undefined = np.full(len(w1), np.nan)
+    columns = dict(
+        w1=w1, w2=w2, w3=w3, w4=w4, q2=q2, q4=q4, e2=e2, e4=e4,
+        w3_th=undefined, w3_nonpas=undefined, eta=eta, cop=undefined, w_inv=undefined,
+        regime=_classify_first_kind(net, q2, e4, tol), reason=reason,
+        split=np.zeros(len(w1), dtype=bool), scale=scale,
+    )
+    if not modified:
+        return columns
+
+    # The modified ledger, kept on rows with something to undo (dn != 0).
+    split = dn != 0.0
+    w3_th = (o1 - o2) * (n2 + 0.5)
+    w3_nonpas = -w2
+    w3p = w3_th + w3_nonpas
+    w4 = np.zeros(len(w1))
+    e4 = w4 + q4
+    scale = _energy_scale(w1, w2, w3p, w4, q2, q4, e2, e4)
+    tol = _TIE_TOL * scale
+    net = (o2 - o1) * (n1 - n2) - o2 * dn
+    regime = _classify_modified(net, n1, n2, tol)
+    # hybrid engine only (n2 >= n1); heat is still dumped into the cold bath (q4 <= 0)
+    hybrid = regime == _CODE[RegimeTag.SUB_CARNOT_HYBRID_ENGINE]
+    hybrid_divisor = o2 * excess
+    vanishing = split & hybrid & (hybrid_divisor == 0.0)
+    if vanishing.any():
+        _fail(errors, vanishing, ZeroDivisionError("float division by zero"))
+    # n2 < n1: the cycle refrigerates the cold bath (q4 > 0). It is a dual
+    # engine/refrigerator only if the piston still extracts net work.
+    dual = regime == _CODE[RegimeTag.DUAL_ENGINE_REFRIGERATOR]
+    modified_columns = dict(
+        w3=w3p, w4=w4, e4=e4, w3_th=w3_th, w3_nonpas=w3_nonpas,
+        eta=np.where(hybrid, 1.0 - (o1 * (n2 - n1)) / hybrid_divisor,
+                     np.where(dual, 1.0, np.nan)),
+        cop=np.where(hybrid, np.nan, o1 / (o2 - o1)),  # n2 < n1 forces o1 < o2 under t1 <= t2
+        w_inv=np.where(hybrid, np.nan, w1 + w2 + w3p),
+        regime=regime,
+        reason=np.where(regime == _CODE[RegimeTag.NOT_ENGINE], _CONSUMES_WORK, 0),
+        scale=scale,
+    )
+    for name, column in modified_columns.items():
+        columns[name] = np.where(split, column, columns[name])
+    columns["split"] = split
+    return columns
+
+
+def _second_kind_columns(o1, o2, n1, n2, dn, errors) -> dict:
+    nc = n2 + dn
+    for i in np.flatnonzero(nc < 0.0):
+        _fail(errors, i, InvalidExcess(
+            f"excess {dn[i].item()!r} would drive the working fluid "
+            f"to occupation {nc[i].item()!r} < 0"
+        ))
+    w1 = (o2 - o1) * (n1 + 0.5)
+    w3 = (o1 - o2) * (nc + 0.5)
+    excess = (n2 - n1) + dn
+    q2 = o2 * excess
+    q4 = -o1 * excess
+    zero = np.zeros(len(w1))
+    scale = _energy_scale(w1, zero, w3, zero, q2, q4, q2, q4)
+    tol = _TIE_TOL * scale
+    net = -(o2 - o1) * excess
+    eta, reason = _engine_efficiency(net, q2, tol)
+    undefined = np.full(len(w1), np.nan)
+    return dict(
+        w1=w1, w2=zero, w3=w3, w4=zero, q2=q2, q4=q4, e2=q2, e4=q4,
+        w3_th=undefined, w3_nonpas=undefined, eta=eta, cop=undefined, w_inv=undefined,
+        regime=_classify_second_kind(net, tol), reason=reason,
+        split=np.zeros(len(w1), dtype=bool), scale=scale,
+    )
+
+
+def _energy_scale(*energies):
+    """The largest |stroke energy| of each row."""
+    return functools.reduce(np.maximum, map(np.abs, energies))
+
+
+def _first_law_residual(w1, w2, w3, w4, q2, q4, scale) -> np.ndarray:
+    """|W1 + W2 + W3 + W4 + Q2 + Q4| over the energy scale; 0 where the scale is 0."""
+    total = np.abs(np.asarray(w1 + w2 + w3 + w4 + q2 + q4))
+    return np.divide(total, scale, out=np.zeros_like(total), where=np.asarray(scale) > 0.0)
+
+
+def _engine_efficiency(net, e2, tol) -> tuple[np.ndarray, np.ndarray]:
+    """-(net work)/E2 in the engine regime, NaN with a reason code otherwise."""
+    not_engine = net > tol
+    degenerate = ~not_engine & (e2 <= tol)
+    eta = np.where(not_engine | degenerate, np.nan, -net / e2)
+    return eta, np.where(not_engine, _NOT_AN_ENGINE, np.where(degenerate, _DEGENERATE, 0))
+
+
+# One regime rule per cycle kind, shared by the kernel and classify_regime.
 # `net` is the cycle's piston work; ties within `tol` go to the engine side.
-def _classify_first_kind(net: float, q2: float, e4: float, tol: float) -> RegimeTag:
-    if net > tol:
-        return RegimeTag.NOT_ENGINE
-    if q2 >= -tol:
-        return RegimeTag.SUB_CARNOT_HYBRID_ENGINE
-    if e4 > tol:
-        return RegimeTag.SUPER_CARNOT_ENGINE_REFRIGERATOR
-    return RegimeTag.SUPER_CARNOT_ENGINE_HEAT_PUMP
+def _classify_first_kind(net, q2, e4, tol) -> np.ndarray:
+    return np.where(
+        net > tol, _CODE[RegimeTag.NOT_ENGINE], np.where(
+            q2 >= -tol, _CODE[RegimeTag.SUB_CARNOT_HYBRID_ENGINE], np.where(
+                e4 > tol, _CODE[RegimeTag.SUPER_CARNOT_ENGINE_REFRIGERATOR],
+                _CODE[RegimeTag.SUPER_CARNOT_ENGINE_HEAT_PUMP])))
 
 
-def _classify_modified(net: float, n1: float, n2: float, tol: float) -> RegimeTag:
-    if n2 >= n1:
-        return RegimeTag.SUB_CARNOT_HYBRID_ENGINE
-    return RegimeTag.DUAL_ENGINE_REFRIGERATOR if net <= tol else RegimeTag.NOT_ENGINE
+def _classify_modified(net, n1, n2, tol) -> np.ndarray:
+    return np.where(
+        n2 >= n1, _CODE[RegimeTag.SUB_CARNOT_HYBRID_ENGINE], np.where(
+            net <= tol, _CODE[RegimeTag.DUAL_ENGINE_REFRIGERATOR], _CODE[RegimeTag.NOT_ENGINE]))
 
 
-def _classify_second_kind(net: float, tol: float) -> RegimeTag:
-    return RegimeTag.GENUINE_HEAT_ENGINE if net <= tol else RegimeTag.NOT_ENGINE
+def _classify_second_kind(net, tol) -> np.ndarray:
+    return np.where(
+        net <= tol, _CODE[RegimeTag.GENUINE_HEAT_ENGINE], _CODE[RegimeTag.NOT_ENGINE]
+    )
 
 
 def classify_regime(config: CycleConfig, ledger: StrokeLedger) -> RegimeTag:
@@ -435,10 +686,12 @@ def classify_regime(config: CycleConfig, ledger: StrokeLedger) -> RegimeTag:
     """
     tol = _TIE_TOL * ledger.energy_scale
     if ledger.kind is CycleKind.SECOND_KIND:
-        return _classify_second_kind(ledger.net_work, tol)
-    if ledger.kind is CycleKind.MODIFIED:
-        return _classify_modified(ledger.net_work, *_occupations(config), tol)
-    return _classify_first_kind(ledger.net_work, ledger.q2, ledger.e4, tol)
+        code = _classify_second_kind(ledger.net_work, tol)
+    elif ledger.kind is CycleKind.MODIFIED:
+        code = _classify_modified(ledger.net_work, *_occupations(config), tol)
+    else:
+        code = _classify_first_kind(ledger.net_work, ledger.q2, ledger.e4, tol)
+    return _REGIMES[code]
 
 
 @dataclass(frozen=True)
@@ -476,33 +729,43 @@ def audit_laws(ledger: StrokeLedger, config: CycleConfig) -> LawReport:
     Never raises; zero-temperature cycles get the Clausius and entropy checks
     flagged as skipped while the first law is still verified.
     """
-    scale = ledger.energy_scale
-    residual = abs(ledger.first_law_sum) / scale if scale > 0.0 else 0.0
-
+    second_kind = ledger.kind is CycleKind.SECOND_KIND
     n1, n2 = _occupations(config)
-    if ledger.kind is CycleKind.SECOND_KIND:
-        dn = config.bath.excess_for(config.omega2, config.t2)
-        hot = invert_occupation(config.omega2, n2 + dn)
-        passive_c = n2 + dn
-    else:
-        hot = config.t2
-        passive_c = n2
+    dn = config.bath.excess_for(config.omega2, config.t2) if second_kind else 0.0
+    residual = _first_law_residual(
+        ledger.w1, ledger.w2, ledger.w3, ledger.w4, ledger.q2, ledger.q4, ledger.energy_scale
+    ).item()
+    return _law_report(
+        second_kind, residual, ledger.q2, ledger.q4,
+        config.omega2, config.t1, config.t2, n1, n2, dn,
+    )
 
-    clausius = None
-    skipped = None
-    if config.t1 == 0.0 or hot == 0.0:
-        skipped = "skipped: zero temperature"
-    else:
-        clausius = ledger.q2 / hot + ledger.q4 / config.t1
 
-    entropy_change = thermal_entropy(passive_c) - thermal_entropy(n1)
-    entropy_bound = ledger.q2 / hot if hot > 0.0 else None
+def _hot_temperature(second_kind: bool, omega2: float, t2: float, n2: float, dn: float) -> float:
+    """T2 for a first-kind bath; for a second-kind one T_real, where the fluid holds n2 + dn."""
+    return invert_occupation(omega2, n2 + dn) if second_kind else t2
 
+
+def _clausius_sums(q2, q4, hot, t1) -> np.ndarray:
+    """Q2/T_hot + Q4/T1, NaN where a zero temperature skips the check."""
+    q2, q4, hot, t1 = map(np.asarray, (q2, q4, hot, t1))
+    with np.errstate(all="ignore"):
+        return np.where((t1 == 0.0) | (hot == 0.0), np.nan, q2 / hot + q4 / t1)
+
+
+def _law_report(
+    second_kind: bool, residual: float, q2: float, q4: float,
+    omega2: float, t1: float, t2: float, n1: float, n2: float, dn: float,
+) -> LawReport:
+    hot = _hot_temperature(second_kind, omega2, t2, n2, dn)
+    passive_c = n2 + dn if second_kind else n2
+    clausius = _clausius_sums(q2, q4, hot, t1).item()
+    skipped = math.isnan(clausius)
     return LawReport(
         first_law_residual=residual,
-        clausius_sum=clausius,
-        clausius_skipped=skipped,
-        entropy_change=entropy_change,
-        entropy_bound=entropy_bound,
+        clausius_sum=None if skipped else clausius,
+        clausius_skipped="skipped: zero temperature" if skipped else None,
+        entropy_change=thermal_entropy(passive_c) - thermal_entropy(n1),
+        entropy_bound=q2 / hot if hot > 0.0 else None,
         hot_temperature=hot,
     )

@@ -58,14 +58,20 @@ class GaussianModeState:
 
 
 def delta_n(state: GaussianModeState) -> float:
-    """Excess excitation of the state over its thermal occupation.
+    """Excess excitation of the state over its thermal occupation."""
+    return excess_excitation(state.n_th, state.r, state.alpha)
+
+
+def excess_excitation(n_th: float, r: float, alpha: complex) -> float:
+    """delta_n of a Gibbs state at n_th dressed by squeezing r and displacement alpha.
 
     (2 n_th + 1) sinh^2(r) for the squeeze plus |alpha|^2 for the
     displacement; the two contributions add because the displacement acts
-    after the squeeze on an already centred state.
+    after the squeeze on an already centred state. Takes unchecked numbers,
+    so that array callers can apply it row by row with libm's rounding.
     """
-    excess = (2.0 * state.n_th + 1.0) * math.sinh(state.r) ** 2
-    return excess + abs(state.alpha) ** 2
+    excess = (2.0 * n_th + 1.0) * math.sinh(r) ** 2
+    return excess + abs(alpha) ** 2
 
 
 def state_energy(state: GaussianModeState, omega: float) -> float:

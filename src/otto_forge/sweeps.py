@@ -2,48 +2,59 @@
 
 Sweeps walk a uniform, endpoint-inclusive grid along one axis of a base
 cycle configuration and evaluate the chosen cycle at every point. Per-point
-physics and arithmetic errors (e.g. an invalid second-kind excess, or a
-squeezing too large for a double) become row-level flags; a sweep never
-aborts. Rows come back in axis order.
+physics and arithmetic errors (e.g. an invalid second-kind excess, a
+squeezing too large for a double, or a ledger entry beyond the double range)
+become row-level flags; a sweep never aborts. Rows come back in axis order.
 
 The delta-n axis deserves a note: for a second-kind bath it sets the excess
 directly, while for squeezed or displaced baths the bath parameter (r or
 |alpha|) is re-solved at every grid point so that the stroke-2 excess equals
 the axis value. That makes efficiency-versus-excess sweeps bath-agnostic.
+
+Sweeps and audits run on columns. A sweep builds the omega1, T1 and delta_n
+columns of its axis and makes one call of the ledger kernel,
+`cycles.ledger_columns`; `emit_table` formats CSV and JSON straight from the
+resulting columns, a few thousand rows at a time. An audit draws its samples
+one by one (so the random stream is fixed), evaluates each family with one
+kernel call and tallies its checks as array reductions. Every
+transcendental, power and complex modulus (delta_n, the occupations and
+temperatures) is a per-element `math` call, that is libm, in the scalar
+path's expression order; numpy ufuncs do only + - * /, comparisons, abs, max
+and where, which round exactly like the scalar code. So a table or audit is
+byte-identical to one built row by row with the scalar evaluators.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
-from .errors import NotApplicable, OttoForgeError
+from .errors import NotApplicable
 from .cycles import (
-    CYCLE_EVALUATORS,
-    BathSpec,
     CycleConfig,
     CycleKind,
     DisplacedThermalBath,
     LawReport,
+    LedgerColumns,
     SecondKindBath,
-    SqueezedDisplacedBath,
     SqueezedThermalBath,
     StrokeLedger,
-    ThermalBath,
-    audit_laws,
     bath_wf_state,
     check_applicable,
-    modified_cycle,
-    second_kind_cycle,
-    standard_cycle,
+    finite_displacement,
+    ledger_columns,
+    rowwise,
 )
-from .gaussian import delta_n as state_delta_n
+from .gaussian import delta_n, excess_excitation
 from .thermo import fictitious_temperature, occupation
 
 TABLE_COLUMNS = (
@@ -91,6 +102,11 @@ class SweepAxis(Enum):
     COLD_TEMPERATURE = "cold-temperature"
 
 
+# The largest grid a sweep accepts: its columns take about 200 bytes a row,
+# and its table about as much again.
+MAX_STEPS = 10**7
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One-axis sweep description over a base cycle configuration."""
@@ -112,6 +128,8 @@ class SweepSpec:
             raise ValueError(f"start must be below stop, got [{self.start}, {self.stop}]")
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be at most {MAX_STEPS}, got {self.steps}")
         self._check_cycle()
         self._check_axis()
 
@@ -154,52 +172,99 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
 
-    def config_at(self, value: float) -> CycleConfig:
+    def columns(self) -> LedgerColumns:
+        """The ledger columns at every grid point, from one kernel call."""
         base = self.base
-        axis = self.axis
-        if axis is SweepAxis.FREQUENCY_RATIO:
-            return replace(base, omega1=value * base.omega2)
-        if axis is SweepAxis.COLD_TEMPERATURE:
-            return replace(base, t1=value)
+        grid = self.grid()
+        errors = np.full(len(grid), None, dtype=object)
+        omega1, t1 = base.omega1, base.t1
+        if self.axis is SweepAxis.FREQUENCY_RATIO:
+            omega1 = grid * base.omega2
+        elif self.axis is SweepAxis.COLD_TEMPERATURE:
+            t1 = grid
+        dn = self._excess(grid, errors)
+        return ledger_columns(self.cycle_kind, omega1, base.omega2, t1, base.t2, dn, errors)
+
+    def _excess(self, grid: np.ndarray, errors: np.ndarray) -> np.ndarray:
+        """The bath's delta_n at each grid point; a row whose bath fails gets its error."""
+        base, axis, bath = self.base, self.axis, self.base.bath
+        if isinstance(bath, SecondKindBath):
+            if axis is SweepAxis.DELTA_N:
+                return grid
+            return rowwise(bath.excess_for, errors, base.omega2, base.t2)
+        n2 = occupation(base.omega2, base.t2)
         if axis is SweepAxis.SQUEEZE_R:
-            return replace(base, bath=SqueezedThermalBath(r=value))
-        if axis is SweepAxis.DISPLACEMENT_MAG:
-            phase = base.bath.alpha / abs(base.bath.alpha) if base.bath.alpha else 1.0
-            return replace(base, bath=DisplacedThermalBath(alpha=value * phase))
-        # delta-n: re-solve the bath knob so the stroke-2 excess equals value
-        if isinstance(base.bath, SecondKindBath):
-            return replace(base, bath=SecondKindBath(excess=value))
-        if isinstance(base.bath, SqueezedThermalBath):
-            n2 = occupation(base.omega2, base.t2)
-            r = math.asinh(math.sqrt(value / (2.0 * n2 + 1.0)))
-            return replace(base, bath=SqueezedThermalBath(r=r))
-        return replace(base, bath=DisplacedThermalBath(alpha=math.sqrt(value)))
+            def excess(r):
+                return excess_excitation(n2, r, 0j)
+        elif axis is SweepAxis.DISPLACEMENT_MAG:
+            phase = bath.alpha / abs(bath.alpha) if bath.alpha else 1.0
+
+            def excess(value):
+                return excess_excitation(n2, 0.0, finite_displacement(value * phase))
+        elif axis is SweepAxis.DELTA_N and isinstance(bath, SqueezedThermalBath):
+            # re-solve the bath knob so the stroke-2 excess equals the axis value
+            def excess(value):
+                r = math.asinh(math.sqrt(value / (2.0 * n2 + 1.0)))
+                return excess_excitation(n2, r, 0j)
+        elif axis is SweepAxis.DELTA_N:
+            def excess(value):
+                return excess_excitation(n2, 0.0, finite_displacement(math.sqrt(value)))
+        else:
+            return rowwise(lambda: delta_n(bath_wf_state(bath, n2)), errors)
+        return rowwise(excess, errors, grid)
 
 
-@dataclass(frozen=True)
 class SweepRow:
-    """One grid point: the axis value plus either a ledger+audit or an error flag."""
+    """One grid point: the axis value plus either a ledger+audit or an error flag.
 
-    axis_value: float
-    ledger: StrokeLedger | None
-    law: LawReport | None
-    error: str | None = None
+    A view of one row of a SweepTable; the ledger and its audit are made
+    from the table's columns when read.
+    """
+
+    __slots__ = ("axis_value", "_columns", "_index")
+
+    def __init__(self, axis_value: float, columns: LedgerColumns, index: int) -> None:
+        self.axis_value = axis_value
+        self._columns = columns
+        self._index = index
+
+    @property
+    def error(self) -> str | None:
+        exc = self._columns.errors[self._index]
+        return None if exc is None else f"{type(exc).__name__}: {exc}"
+
+    @property
+    def ledger(self) -> StrokeLedger | None:
+        return None if self.error is not None else self._columns.ledger(self._index)
+
+    @property
+    def law(self) -> LawReport | None:
+        return None if self.error is not None else self._columns.law(self._index)
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+class SweepTable(Sequence):
+    """A sweep's rows held as columns: the axis grid and the ledger columns.
+
+    An integer index gives a SweepRow, a slice gives a SweepTable.
+    """
+
+    def __init__(self, axis: np.ndarray, columns: LedgerColumns) -> None:
+        self.axis = axis
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.axis)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepTable(self.axis[index], self.columns.take(index))
+        i = range(len(self.axis))[index]
+        return SweepRow(self.axis[i].item(), self.columns, i)
+
+
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the sweep, one row per grid point, in axis order."""
-    cycle = CYCLE_EVALUATORS[spec.cycle_kind]
-
-    def point(value: float) -> SweepRow:
-        v = float(value)
-        try:
-            config = spec.config_at(v)
-            ledger = cycle(config)
-            return SweepRow(v, ledger, audit_laws(ledger, config), None)
-        except (OttoForgeError, ValueError, ArithmeticError) as exc:
-            return SweepRow(v, None, None, f"{type(exc).__name__}: {exc}")
-
-    return [point(v) for v in spec.grid()]
+    return SweepTable(spec.grid(), spec.columns())
 
 
 def row_record(row: SweepRow) -> dict:
@@ -219,25 +284,99 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit_table(rows: list[SweepRow], format: str = "csv") -> bytes:
+def _csv_error_line(record: dict) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(
+        _csv_cell(record[c]) for c in TABLE_COLUMNS
+    )
+    return buffer.getvalue()
+
+
+# Columns that may be undefined (empty in CSV, null in JSON), and the row
+# templates: defined floats go through "%.17g" (CSV) or repr (JSON, as
+# json.dumps writes floats); the other cells are formatted beforehand.
+_NULLABLE = ("W3_prime", "eta", "cop")
+_PRESET = (*_NULLABLE, "regime")
+_CSV_ROW = ",".join("%s" if c in _PRESET else "%.17g" for c in TABLE_COLUMNS) + "\r\n"
+_JSON_ROW = "{" + ", ".join(
+    f'"{c}": ' + ("%s" if c in _PRESET else "%r") for c in TABLE_COLUMNS
+) + "}"
+
+# Rows formatted per piece of a table: keeps the strings of one piece small.
+_CHUNK_ROWS = 4096
+
+
+def _nullable_cells(column: np.ndarray, number_format: str, null: str) -> list[str]:
+    undefined = np.isnan(column)
+    if undefined.all():
+        return [null] * len(column)
+    cells = [number_format % x for x in column.tolist()]
+    for i in np.flatnonzero(undefined).tolist():
+        cells[i] = null
+    return cells
+
+
+def _table_cells(table: SweepTable, number_format: str, null: str, regime_cell) -> list[list]:
+    """The cell lists of TABLE_COLUMNS, in order; undefined and regime cells as strings."""
+    c = table.columns
+    nullable = {
+        "W3_prime": np.where(c.split, c.w3, np.nan),
+        "eta": c.eta,
+        "cop": c.cop,
+    }
+    cells = {name: _nullable_cells(col, number_format, null) for name, col in nullable.items()}
+    cells["regime"] = c.regime_cells(regime_cell)
+    cells["axis"] = table.axis.tolist()
+    cells["law_residual"] = c.law_residual.tolist()
+    for name in ("W1", "W2", "W3", "W4", "Q2", "Q4", "E2", "E4"):
+        cells[name] = getattr(c, name.lower()).tolist()
+    return [cells[name] for name in TABLE_COLUMNS]
+
+
+def _format_rows(table: SweepTable, row_format: str, separator: str, cells, error_line) -> str:
+    """The rows of a table piece joined by `separator`; failed rows come from their records."""
+    failed = np.flatnonzero(table.columns.failed).tolist()
+    if not failed:
+        text = ((row_format + separator) * len(table)) % tuple(chain.from_iterable(zip(*cells)))
+        return text[:len(text) - len(separator)]
+    lines = [row_format % row for row in zip(*cells)]
+    for i in failed:
+        lines[i] = error_line(row_record(table[i]))
+    return separator.join(lines)
+
+
+def _csv_piece(table: SweepTable) -> str:
+    cells = _table_cells(table, "%.17g", "", str)
+    return _format_rows(table, _CSV_ROW, "", cells, _csv_error_line)
+
+
+def _json_piece(table: SweepTable) -> str:
+    strict_json = functools.partial(json.dumps, allow_nan=False)
+    cells = _table_cells(table, "%r", "null", strict_json)
+    return _format_rows(table, _JSON_ROW, ", ", cells, strict_json)
+
+
+def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
     """Serialise sweep rows as RFC-4180 CSV or JSON (one object per row).
 
     CSV floats carry 17 significant digits, enough to round-trip doubles
-    exactly; the JSON form round-trips bit-exactly through json.loads.
+    exactly; the JSON form round-trips bit-exactly through json.loads. Only
+    error-row cells can need CSV quoting; they go through the csv module.
     """
-    if not rows:
+    if not len(rows):
         raise ValueError("emit_table needs at least one row")
-    records = [row_record(row) for row in rows]
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown table format {format!r} (expected 'csv' or 'json')")
     if format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\r\n")
-        writer.writerow(TABLE_COLUMNS)
-        for record in records:
-            writer.writerow(_csv_cell(record[c]) for c in TABLE_COLUMNS)
-        return buffer.getvalue().encode("utf-8")
-    if format == "json":
-        return json.dumps(records).encode("utf-8")
-    raise ValueError(f"unknown table format {format!r} (expected 'csv' or 'json')")
+        piece, head, separator, tail = _csv_piece, ",".join(TABLE_COLUMNS) + "\r\n", "", ""
+    else:
+        piece, head, separator, tail = _json_piece, "[", ", ", "]"
+    parts = [head.encode("utf-8")]
+    for i in range(0, len(rows), _CHUNK_ROWS):
+        parts.append(piece(rows[i:i + _CHUNK_ROWS]).encode("utf-8"))
+        parts.append(separator.encode("utf-8"))
+    parts[-1] = tail.encode("utf-8")
+    return b"".join(parts)
 
 
 @dataclass(frozen=True)
@@ -272,8 +411,20 @@ _AUDIT_FAMILIES = ("first-kind", "second-kind", "mixed")
 _FIRST_LAW_TOL = 1e-9
 _INEQUALITY_TOL = 1e-12
 
+# Samples drawn and evaluated at a time: bounds the memory of a campaign.
+_AUDIT_CHUNK = 2048
 
-def _draw_config(rng: np.random.Generator, family: str) -> tuple[CycleConfig, str]:
+
+# One drawn configuration: r and alpha dress a first-kind bath (thermal,
+# squeezed, displaced, or both); excess is a second-kind bath's delta_n.
+_DRAW = np.dtype([
+    ("omega1", float), ("omega2", float), ("t1", float), ("t2", float),
+    ("second_kind", bool), ("r", float), ("alpha", complex), ("excess", float),
+])
+
+
+def _draw_config(rng: np.random.Generator, family: str) -> tuple:
+    """One random configuration, as a record of _DRAW."""
     omega2 = rng.uniform(1.0, 100.0)
     ratio = rng.uniform(0.0, 1.0)
     omega1 = omega2 * (ratio if ratio > 0.0 else 1e-6)
@@ -283,22 +434,20 @@ def _draw_config(rng: np.random.Generator, family: str) -> tuple[CycleConfig, st
     if kind == "second-kind":
         n2 = occupation(omega2, t2)
         excess = rng.uniform(0.0, 1.0) * (n2 + 2.0) - n2  # keeps n2 + excess >= 0
-        bath: BathSpec = SecondKindBath(excess=excess)
-    else:
-        r = rng.uniform(0.0, 1.5)
-        mag = rng.uniform(0.0, 3.0)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        alpha = mag * complex(math.cos(phase), math.sin(phase))
-        choice = rng.integers(4)
-        if choice == 0:
-            bath = ThermalBath()
-        elif choice == 1:
-            bath = SqueezedThermalBath(r=r)
-        elif choice == 2:
-            bath = DisplacedThermalBath(alpha=alpha)
-        else:
-            bath = SqueezedDisplacedBath(r=r, alpha=alpha)
-    return CycleConfig(omega1=omega1, omega2=omega2, t1=t1, t2=t2, bath=bath), kind
+        return omega1, omega2, t1, t2, True, 0.0, 0j, excess
+    r = rng.uniform(0.0, 1.5)
+    mag = rng.uniform(0.0, 3.0)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    alpha = mag * complex(math.cos(phase), math.sin(phase))
+    choice = rng.integers(4)  # thermal, squeezed, displaced, squeezed and displaced
+    return (omega1, omega2, t1, t2, False,
+            r if choice in (1, 3) else 0.0, alpha if choice >= 2 else 0j, 0.0)
+
+
+def _raise_first(errors: np.ndarray) -> None:
+    failed = np.flatnonzero(np.not_equal(errors, None))
+    if failed.size:
+        raise errors[failed[0]]
 
 
 class _AuditTally:
@@ -313,23 +462,25 @@ class _AuditTally:
         self.bound_violations = 0
 
     def add(
-        self, ledger: StrokeLedger, law: LawReport, value: float | None, bound: float | None
+        self, columns: LedgerColumns, hot: np.ndarray, value: np.ndarray, bound: np.ndarray
     ) -> None:
-        """Count one ledger; `value` (eta or COP) is checked against `bound` when given."""
-        self.ledgers += 1
-        self.max_residual = max(self.max_residual, law.first_law_residual)
-        if law.first_law_residual > _FIRST_LAW_TOL:
-            self.first_law_violations += 1
-        if law.clausius_sum is not None:
-            self.clausius_checked += 1
-            if law.clausius_sum > _INEQUALITY_TOL:
-                self.clausius_violations += 1
-        if ledger.eta is not None:
-            self.engines += 1
-        if bound is not None:
-            self.bound_checked += 1
-            if value > bound + _INEQUALITY_TOL:
-                self.bound_violations += 1
+        """Count the ledgers; `value` (eta or COP) is checked against `bound` where it is not NaN.
+
+        `hot` is each row's hot temperature for the Clausius sum.
+        """
+        _raise_first(columns.errors)
+        if not len(columns):
+            return
+        residual = columns.law_residual
+        self.ledgers += len(columns)
+        self.max_residual = max(self.max_residual, residual.max().item())
+        self.first_law_violations += int(np.count_nonzero(residual > _FIRST_LAW_TOL))
+        clausius = columns.clausius_sums(hot)
+        self.clausius_checked += int(np.count_nonzero(~np.isnan(clausius)))
+        self.clausius_violations += int(np.count_nonzero(clausius > _INEQUALITY_TOL))
+        self.engines += int(np.count_nonzero(~np.isnan(columns.eta)))
+        self.bound_checked += int(np.count_nonzero(~np.isnan(bound)))
+        self.bound_violations += int(np.count_nonzero(value > bound + _INEQUALITY_TOL))
 
 
 def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSummary:
@@ -351,14 +502,14 @@ def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSumma
         raise ValueError(f"family must be one of {_AUDIT_FAMILIES}, got {family!r}")
 
     rng = np.random.default_rng(seed)
-    drawn = [_draw_config(rng, family) for _ in range(samples)]
-
     tally = _AuditTally()
-    for config, kind in drawn:
-        if kind == "second-kind":
-            _audit_second_kind(config, tally)
-        else:
-            _audit_first_kind(config, tally)
+    for start in range(0, samples, _AUDIT_CHUNK):
+        drawn = np.empty(min(_AUDIT_CHUNK, samples - start), dtype=_DRAW)
+        for i in range(len(drawn)):
+            drawn[i] = _draw_config(rng, family)
+        second = drawn["second_kind"]
+        _audit_first_kind(drawn[~second], tally)
+        _audit_second_kind(drawn[second], tally)
 
     return AuditSummary(
         samples=samples,
@@ -375,31 +526,40 @@ def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSumma
     )
 
 
-def _audit_first_kind(config: CycleConfig, tally: _AuditTally) -> None:
-    ledger = standard_cycle(config)
-    law = audit_laws(ledger, config)
-    n2 = occupation(config.omega2, config.t2)
-    dn = state_delta_n(bath_wf_state(config.bath, n2))
-    bound = None
-    if ledger.eta is not None and n2 + dn > 0.0:
-        theta = fictitious_temperature(config.omega2, n2, dn)
-        if theta > 0.0:
-            bound = 1.0 - config.t1 / theta
-    tally.add(ledger, law, ledger.eta, bound)
+def _audit_first_kind(drawn: np.ndarray, tally: _AuditTally) -> None:
+    omega1, omega2, t1, t2 = (drawn[name] for name in ("omega1", "omega2", "t1", "t2"))
+    errors = np.full(len(drawn), None, dtype=object)
+    n2 = rowwise(occupation, errors, omega2, t2)
+    dn = rowwise(excess_excitation, errors, n2, drawn["r"], drawn["alpha"])
+    ledgers = ledger_columns(CycleKind.STANDARD, omega1, omega2, t1, t2, dn, errors)
+    # the efficiency bound 1 - T1/Theta at the fictitious excitation parameter
+    bounded = ~np.isnan(ledgers.eta) & (n2 + dn > 0.0)
+    theta_errors = np.full(np.count_nonzero(bounded), None, dtype=object)
+    theta = np.full(len(drawn), np.nan)
+    theta[bounded] = rowwise(
+        fictitious_temperature, theta_errors, omega2[bounded], n2[bounded], dn[bounded]
+    )
+    _raise_first(theta_errors)
+    bound = 1.0 - np.divide(t1, theta, out=np.full(len(t1), np.nan), where=theta > 0.0)
+    tally.add(ledgers, t2, ledgers.eta, bound)
+    del ledgers, theta, bound
 
-    if dn > 0.0:
-        mod = modified_cycle(config)
-        mod_law = audit_laws(mod, config)
-        cop_bound = None
-        if mod.cop is not None and config.t2 > config.t1:
-            cop_bound = config.t1 / (config.t2 - config.t1)
-        tally.add(mod, mod_law, mod.cop, cop_bound)
+    nonpassive = dn > 0.0
+    t1, t2 = t1[nonpassive], t2[nonpassive]
+    modified = ledger_columns(
+        CycleKind.MODIFIED, omega1[nonpassive], omega2[nonpassive], t1, t2, dn[nonpassive]
+    )
+    refrigerates = ~np.isnan(modified.cop) & (t2 > t1)
+    cop_bound = np.divide(t1, t2 - t1, out=np.full(len(t1), np.nan), where=refrigerates)
+    tally.add(modified, t2, modified.cop, cop_bound)
 
 
-def _audit_second_kind(config: CycleConfig, tally: _AuditTally) -> None:
-    ledger = second_kind_cycle(config)
-    law = audit_laws(ledger, config)
-    bound = None
-    if ledger.eta is not None and law.hot_temperature and law.hot_temperature > 0.0:
-        bound = 1.0 - config.t1 / law.hot_temperature
-    tally.add(ledger, law, ledger.eta, bound)
+def _audit_second_kind(drawn: np.ndarray, tally: _AuditTally) -> None:
+    t1 = drawn["t1"]
+    ledgers = ledger_columns(
+        CycleKind.SECOND_KIND, drawn["omega1"], drawn["omega2"], t1, drawn["t2"], drawn["excess"]
+    )
+    hot = ledgers.hot_temperatures()
+    bounded = ~np.isnan(ledgers.eta) & (hot > 0.0)
+    bound = 1.0 - np.divide(t1, hot, out=np.full(len(t1), np.nan), where=bounded)
+    tally.add(ledgers, hot, ledgers.eta, bound)

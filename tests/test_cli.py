@@ -1,12 +1,17 @@
 """CLI contract: flags, exit codes, machine-parseable stdout, config files."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otto_forge.cli import main
+from otto_forge.sweeps import TABLE_COLUMNS
 
 FIG5 = ["--omega1", "7", "--omega2", "20", "--t1", "2", "--t2", "10"]
 
@@ -233,6 +238,8 @@ class TestAuditCommand:
         ("ergotropy", "--oracle", {"nth": 0.2, "omega": "abc"}),
         ("audit", "--samples", "5", "--seed", "1", {"family": "third-kind"}),
         ("cycle", *FIG5, "--bath", "squeezed:0.5+squeezed:0.7"),
+        ("sweep", *FIG5, "--bath", "thermal", "--axis", "frequency-ratio",
+         "--start", "0.1", "--stop", "1", "--steps", "1000000000000"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
@@ -257,6 +264,44 @@ def test_overflowing_bath_is_physics_error(capsys, bath):
     assert code == 3
     assert out == ""
     assert err.startswith("physics error: OverflowError")
+
+
+def strict_json(text):
+    """json.loads that refuses the non-JSON tokens NaN, Infinity and -Infinity."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cycle", *FIG5, "--bath", "second-kind:1e308", "--cycle", "second-kind"),
+        ("ergotropy", "--nth", "1e308", "--omega", "1"),
+    ],
+)
+def test_non_finite_result_is_physics_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("physics error: OverflowError")
+
+
+def test_non_finite_sweep_rows_are_flagged(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "sweep", *FIG5, "--bath", "squeezed:0.5",
+        "--axis", "delta-n", "--start", "0", "--stop", "1e308", "--steps", "3",
+        "--format", "json",
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    rows = strict_json(out)
+    assert rows[0]["regime"] == "SubCarnotHybridEngine"
+    for row in rows[1:]:
+        assert row["regime"].startswith("error:OverflowError")
+        assert row["W2"] is None
 
 
 @pytest.mark.parametrize(
@@ -322,3 +367,87 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+
+# CLI fuzz: argv drawn over every command but the oracle, with values that
+# include zero, negatives, the double range's edge, nan and inf.
+NUMBER = st.sampled_from(
+    ["0", "-1", "1e308", "-1e308", "nan", "inf", "-inf", "1e-300", "0.5", "2", "7", "10", "20"]
+)
+INTEGER = st.integers(-2, 50).map(str) | st.sampled_from(["1e3", "abc", "nan"])
+BATH = st.one_of(
+    st.just("thermal"),
+    st.builds("squeezed:{}".format, NUMBER),
+    st.builds("displaced:{},{}".format, NUMBER, NUMBER),
+    st.builds("second-kind:{}".format, NUMBER),
+    st.builds("squeezed:{}+displaced:{},0".format, NUMBER, NUMBER),
+    st.sampled_from(["", "thermal:1", "squeezed", "second-kind:1+squeezed:1", "warm"]),
+)
+
+
+def flags(**values):
+    """Draw each flag's value, or leave the flag out."""
+    return st.fixed_dictionaries({}, optional=values).map(
+        lambda drawn: [item for flag, value in drawn.items() for item in (f"--{flag}", value)]
+    )
+
+
+CYCLE_FLAGS = dict(
+    omega1=NUMBER, omega2=NUMBER, t1=NUMBER, t2=NUMBER, bath=BATH,
+    cycle=st.sampled_from(["standard", "modified", "second-kind"]),
+)
+ARGV = st.one_of(
+    flags(**CYCLE_FLAGS).map(lambda f: ["cycle", *f]),
+    flags(
+        **CYCLE_FLAGS,
+        axis=st.sampled_from(
+            ["frequency-ratio", "delta-n", "squeeze-r", "displacement", "cold-temperature"]
+        ),
+        start=NUMBER, stop=NUMBER, steps=INTEGER, format=st.sampled_from(["csv", "json"]),
+    ).map(lambda f: ["sweep", *f]),
+    flags(
+        samples=INTEGER, seed=INTEGER,
+        family=st.sampled_from(["first-kind", "second-kind", "mixed"]),
+    ).map(lambda f: ["audit", *f]),
+    flags(nth=NUMBER, r=NUMBER, omega=NUMBER).map(lambda f: ["ergotropy", *f]),
+    flags(**{"alpha-re": NUMBER, "alpha-im": NUMBER, "nth": NUMBER, "omega": NUMBER}).map(
+        lambda f: ["ergotropy", *f]
+    ),
+)
+
+
+def run_isolated(argv):
+    """Run the CLI in-process with fresh stdout/stderr buffers."""
+    raw = io.BytesIO()
+    out = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, raw.getvalue().decode("utf-8"), err.getvalue()
+
+
+def check_table(text):
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == list(TABLE_COLUMNS)
+    for row in rows[1:]:
+        assert len(row) == len(TABLE_COLUMNS)
+        for name, cell in zip(TABLE_COLUMNS, row):
+            if name != "regime" and cell:
+                assert math.isfinite(float(cell))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGV)
+def test_cli_contract_holds_for_any_argv(argv):
+    code, out, err = run_isolated(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+    elif argv[0] == "sweep" and code == 0:
+        if "json" in argv:
+            assert isinstance(strict_json(out), list)
+        else:
+            check_table(out)
+    elif out:
+        assert isinstance(strict_json(out), dict)

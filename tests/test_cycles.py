@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otto_forge import (
     CycleConfig,
@@ -22,6 +24,7 @@ from otto_forge import (
     SecondKindBath,
     SqueezedDisplacedBath,
     SqueezedThermalBath,
+    StrokeLedger,
     ThermalBath,
     audit_laws,
     build_fock_density,
@@ -33,6 +36,13 @@ from otto_forge import (
     occupation,
     second_kind_cycle,
     standard_cycle,
+)
+from otto_forge.cycles import (
+    APPLICABLE_BATHS,
+    CYCLE_EVALUATORS,
+    ROW_ERRORS,
+    bath_wf_state,
+    ledger_columns,
 )
 
 # occupations at the worked parameter point omega1=7, omega2=20, T1=2, T2=10
@@ -420,3 +430,69 @@ class TestRandomizedInvariants:
                 engines += 1
                 assert ledger.eta <= 1 - t1 / law.hot_temperature + 1e-12
         assert engines > 200
+
+
+class TestColumnKernel:
+    """One n-row kernel call against n size-1 evaluations, row by row."""
+
+    @staticmethod
+    @st.composite
+    def configs(draw, kind):
+        omega2 = draw(st.sampled_from([1.0, 20.0]) | st.floats(0.1, 100.0))
+        t2 = draw(st.just(0.0) | st.floats(0.0, 50.0))
+        if draw(st.booleans()):  # a tie: n1 = n2
+            omega1, t1 = omega2, t2
+        else:
+            omega1 = omega2 * draw(st.floats(1e-6, 1.0))
+            t1 = t2 * draw(st.just(0.0) | st.floats(0.0, 1.0))
+        if kind is CycleKind.SECOND_KIND:
+            n2 = occupation(omega2, t2)
+            if draw(st.booleans()):
+                bath = SecondKindBath(t_real=draw(st.floats(0.0, 100.0)))
+            else:
+                # includes excesses below -n2, which InvalidExcess refuses
+                excess = draw(st.sampled_from([0.0, -n2, -n2 - 0.1, 1e308]) | st.floats(-1.0, 3.0))
+                bath = SecondKindBath(excess=excess)
+        else:
+            r = draw(st.sampled_from([0.0, 355.0]) | st.floats(0.0, 1.5))  # 355: W2 overflows
+            alpha = complex(draw(st.just(0.0) | st.floats(-3.0, 3.0)),
+                            draw(st.just(0.0) | st.floats(-3.0, 3.0)))
+            bath_kind = draw(st.sampled_from(APPLICABLE_BATHS[kind]))
+            bath = {
+                ThermalBath: lambda: ThermalBath(),
+                SqueezedThermalBath: lambda: SqueezedThermalBath(r),
+                DisplacedThermalBath: lambda: DisplacedThermalBath(alpha),
+                SqueezedDisplacedBath: lambda: SqueezedDisplacedBath(r, alpha),
+            }[bath_kind]()
+        return CycleConfig(omega1, omega2, t1, t2, bath)
+
+    @staticmethod
+    def outcome(evaluate):
+        """repr of the result (bit-exact for floats, with its None pattern) or the error."""
+        try:
+            return repr(evaluate())
+        except ROW_ERRORS as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_size_one_evaluations(self, data):
+        kind = data.draw(st.sampled_from(list(CycleKind)))
+        configs = data.draw(st.lists(self.configs(kind), min_size=1, max_size=12))
+        if kind is CycleKind.SECOND_KIND:
+            dn = [c.bath.excess_for(c.omega2, c.t2) for c in configs]
+        else:
+            dn = [delta_n(bath_wf_state(c.bath, occupation(c.omega2, c.t2))) for c in configs]
+        columns = ledger_columns(
+            kind,
+            *([getattr(c, name) for c in configs] for name in ("omega1", "omega2", "t1", "t2")),
+            dn,
+        )
+        assert len(columns) == len(configs)
+        for i, config in enumerate(configs):
+            single = self.outcome(lambda: CYCLE_EVALUATORS[kind](config))
+            assert self.outcome(lambda: columns.ledger(i)) == single
+            if not single.startswith(StrokeLedger.__name__):
+                continue
+            ledger = CYCLE_EVALUATORS[kind](config)
+            assert repr(columns.law(i)) == repr(audit_laws(ledger, config))

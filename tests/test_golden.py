@@ -1,0 +1,51 @@
+"""Byte-exact outputs: the README's fig2 and fig5 tables and three audit summaries.
+
+Each SHA-256 pins every byte of one command's output. A change to any of
+them changes a published number, so it must be deliberate and recorded.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from otto_forge.cli import main
+
+README_POINT = ["--omega1", "7", "--omega2", "20", "--t1", "2", "--t2", "10",
+                "--bath", "squeezed:0.5"]
+
+GOLDEN = {
+    "fig5": (
+        ["sweep", *README_POINT, "--cycle", "modified", "--axis", "delta-n",
+         "--start", "0", "--stop", "1", "--steps", "101"],
+        "8b912de5b4a1cbeec8b6e9872a2c5a7f41708a1330ae063708e03a5b98dc8ec9",
+    ),
+    "fig2": (
+        ["sweep", *README_POINT, "--cycle", "standard", "--axis", "frequency-ratio",
+         "--start", "0.0001", "--stop", "1", "--steps", "10000"],
+        "830d48c9109e4a74eb3fe51f933bbd053522875b04c03b669c4f488e830a368f",
+    ),
+    "audit-first-kind": (
+        ["audit", "--samples", "2000", "--seed", "42", "--family", "first-kind"],
+        "68fd36a24affdb3f248e6511d6979c273b63b727419bc62ccc2665b2da8d4428",
+    ),
+    "audit-second-kind": (
+        ["audit", "--samples", "2000", "--seed", "42", "--family", "second-kind"],
+        "6bc9dc61c05bcec55f993c2cb3d5e1737c3fe2c08fc2e3bc107de0ce5c08e08a",
+    ),
+    "audit-mixed": (
+        ["audit", "--samples", "2000", "--seed", "42", "--family", "mixed"],
+        "f232be050533b31f61061765450d99e21c4b7e3a801d6b1d360495ed3772ef66",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_are_pinned(name):
+    argv, digest = GOLDEN[name]
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    assert hashlib.sha256(raw.getvalue()).hexdigest() == digest
