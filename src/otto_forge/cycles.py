@@ -191,10 +191,6 @@ class CycleConfig:
         if self.t1 > self.t2:
             raise ValueError("t1 must not exceed t2 (cold bath is the colder one)")
 
-    @property
-    def frequency_ratio(self) -> float:
-        return self.omega1 / self.omega2
-
 
 class CycleKind(enum.Enum):
     STANDARD = "standard"
@@ -272,10 +268,6 @@ class StrokeLedger:
         """Piston work over the whole cycle (negative when work is extracted)."""
         return self.w1 + self.w3
 
-    @property
-    def first_law_sum(self) -> float:
-        return self.w1 + self.w2 + self.w3 + self.w4 + self.q2 + self.q4
-
 
 def _occupations(config: CycleConfig) -> tuple[float, float]:
     return (
@@ -352,12 +344,10 @@ _NOTHING_TO_UNDO = "delta_n = 0: nothing to undo, standard-cycle ledger"
 ROW_ERRORS = (OttoForgeError, ValueError, ArithmeticError)
 
 
-def _fail(errors: np.ndarray, rows, exc: Exception) -> None:
-    """Record `exc` as the error of every selected row that has not failed yet."""
-    mask = np.zeros(len(errors), dtype=bool)
-    mask[rows] = True
-    mask &= np.equal(errors, None)
-    errors[mask] = exc
+def _fail(errors: np.ndarray, mask: np.ndarray, exc: Exception) -> None:
+    """Record `exc` as the error of every masked row that has not failed yet."""
+    rows = np.flatnonzero(mask)
+    errors[rows[np.equal(errors[rows], None)]] = exc
 
 
 def rowwise(fn: Callable[..., float], errors: np.ndarray, *columns) -> np.ndarray:
@@ -376,20 +366,17 @@ def rowwise(fn: Callable[..., float], errors: np.ndarray, *columns) -> np.ndarra
             value = fn(*(c.item(0) for c in columns))
         except ROW_ERRORS as exc:
             value = math.nan
-            _fail(errors, slice(None), exc)
+            _fail(errors, np.ones(n, dtype=bool), exc)
         return np.full(n, value, dtype=float)
     lists = [c.tolist() if c.ndim else [c.item()] * n for c in columns]
-    try:
-        return np.array(list(map(fn, *lists)), dtype=float)
-    except ROW_ERRORS:
-        pass
     values = []
     for i, args in enumerate(zip(*lists)):
         try:
             values.append(fn(*args))
         except ROW_ERRORS as exc:
             values.append(math.nan)
-            _fail(errors, i, exc)
+            if errors[i] is None:
+                errors[i] = exc
     return np.array(values, dtype=float)
 
 
@@ -612,11 +599,12 @@ def _first_kind_columns(o1, o2, n1, n2, dn, errors, modified: bool) -> dict:
 
 def _second_kind_columns(o1, o2, n1, n2, dn, errors) -> dict:
     nc = n2 + dn
-    for i in np.flatnonzero(nc < 0.0):
-        _fail(errors, i, InvalidExcess(
-            f"excess {dn[i].item()!r} would drive the working fluid "
-            f"to occupation {nc[i].item()!r} < 0"
-        ))
+    for i in np.flatnonzero(nc < 0.0).tolist():
+        if errors[i] is None:
+            errors[i] = InvalidExcess(
+                f"excess {dn[i].item()!r} would drive the working fluid "
+                f"to occupation {nc[i].item()!r} < 0"
+            )
     w1 = (o2 - o1) * (n1 + 0.5)
     w3 = (o1 - o2) * (nc + 0.5)
     excess = (n2 - n1) + dn
@@ -711,10 +699,6 @@ class LawReport:
     entropy_change: float | None
     entropy_bound: float | None
     hot_temperature: float | None
-
-    @property
-    def clausius_ok(self) -> bool:
-        return self.clausius_sum is None or self.clausius_sum <= 1e-12
 
     @property
     def entropy_ok(self) -> bool:

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import CutoffSearchFailed, CutoffTooSmall, DensityNotPositive
 from .gaussian import GaussianModeState
@@ -57,10 +56,6 @@ _ENTROPY_FLOOR = 1e-15
 
 def thermal_probabilities(n_th: float, dim: int) -> np.ndarray:
     """Geometric Fock-level populations n^k / (n+1)^(k+1), truncated to dim."""
-    if n_th == 0.0:
-        p = np.zeros(dim)
-        p[0] = 1.0
-        return p
     q = n_th / (n_th + 1.0)
     return q ** np.arange(dim) / (n_th + 1.0)
 
@@ -135,6 +130,8 @@ def _apply_skew_exponential(subdiag: np.ndarray, block: np.ndarray) -> np.ndarra
     eigenbasis is applied to the block's columns; expm(G) itself is never
     formed.
     """
+    from scipy.linalg import eigh_tridiagonal  # deferred: only the oracle needs scipy
+
     g = np.asarray(subdiag, dtype=complex)
     if g.size == 0:
         return np.asarray(block, dtype=complex)
@@ -188,8 +185,6 @@ def _edge_mass(populations: np.ndarray) -> float:
     """Occupation parked on the top levels (level 0 never counts as edge)."""
     dim = populations.shape[0]
     lo = max(1, dim - _edge_window(dim))
-    if lo >= dim:
-        return 0.0
     return float(np.sum(populations[lo:]))
 
 

@@ -32,9 +32,8 @@ import io
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -307,13 +306,7 @@ _CHUNK_ROWS = 4096
 
 
 def _nullable_cells(column: np.ndarray, number_format: str, null: str) -> list[str]:
-    undefined = np.isnan(column)
-    if undefined.all():
-        return [null] * len(column)
-    cells = [number_format % x for x in column.tolist()]
-    for i in np.flatnonzero(undefined).tolist():
-        cells[i] = null
-    return cells
+    return [null if math.isnan(x) else number_format % x for x in column.tolist()]
 
 
 def _table_cells(table: SweepTable, number_format: str, null: str, regime_cell) -> list[list]:
@@ -335,12 +328,8 @@ def _table_cells(table: SweepTable, number_format: str, null: str, regime_cell) 
 
 def _format_rows(table: SweepTable, row_format: str, separator: str, cells, error_line) -> str:
     """The rows of a table piece joined by `separator`; failed rows come from their records."""
-    failed = np.flatnonzero(table.columns.failed).tolist()
-    if not failed:
-        text = ((row_format + separator) * len(table)) % tuple(chain.from_iterable(zip(*cells)))
-        return text[:len(text) - len(separator)]
     lines = [row_format % row for row in zip(*cells)]
-    for i in failed:
+    for i in np.flatnonzero(table.columns.failed).tolist():
         lines[i] = error_line(row_record(table[i]))
     return separator.join(lines)
 
@@ -450,37 +439,27 @@ def _raise_first(errors: np.ndarray) -> None:
         raise errors[failed[0]]
 
 
-class _AuditTally:
-    def __init__(self) -> None:
-        self.ledgers = 0
-        self.engines = 0
-        self.max_residual = 0.0
-        self.first_law_violations = 0
-        self.clausius_checked = 0
-        self.clausius_violations = 0
-        self.bound_checked = 0
-        self.bound_violations = 0
+def _tally(
+    counts: dict, columns: LedgerColumns, hot: np.ndarray, value: np.ndarray, bound: np.ndarray
+) -> None:
+    """Add the ledgers to AuditSummary's counters.
 
-    def add(
-        self, columns: LedgerColumns, hot: np.ndarray, value: np.ndarray, bound: np.ndarray
-    ) -> None:
-        """Count the ledgers; `value` (eta or COP) is checked against `bound` where it is not NaN.
-
-        `hot` is each row's hot temperature for the Clausius sum.
-        """
-        _raise_first(columns.errors)
-        if not len(columns):
-            return
-        residual = columns.law_residual
-        self.ledgers += len(columns)
-        self.max_residual = max(self.max_residual, residual.max().item())
-        self.first_law_violations += int(np.count_nonzero(residual > _FIRST_LAW_TOL))
-        clausius = columns.clausius_sums(hot)
-        self.clausius_checked += int(np.count_nonzero(~np.isnan(clausius)))
-        self.clausius_violations += int(np.count_nonzero(clausius > _INEQUALITY_TOL))
-        self.engines += int(np.count_nonzero(~np.isnan(columns.eta)))
-        self.bound_checked += int(np.count_nonzero(~np.isnan(bound)))
-        self.bound_violations += int(np.count_nonzero(value > bound + _INEQUALITY_TOL))
+    `value` (eta or COP) is checked against `bound` where it is not NaN;
+    `hot` is each row's hot temperature for the Clausius sum.
+    """
+    _raise_first(columns.errors)
+    if not len(columns):
+        return
+    residual = columns.law_residual
+    clausius = columns.clausius_sums(hot)
+    counts["ledgers"] += len(columns)
+    counts["engines"] += int(np.count_nonzero(~np.isnan(columns.eta)))
+    counts["max_first_law_residual"] = max(counts["max_first_law_residual"], residual.max().item())
+    counts["first_law_violations"] += int(np.count_nonzero(residual > _FIRST_LAW_TOL))
+    counts["clausius_checked"] += int(np.count_nonzero(~np.isnan(clausius)))
+    counts["clausius_violations"] += int(np.count_nonzero(clausius > _INEQUALITY_TOL))
+    counts["bound_checked"] += int(np.count_nonzero(~np.isnan(bound)))
+    counts["bound_violations"] += int(np.count_nonzero(value > bound + _INEQUALITY_TOL))
 
 
 def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSummary:
@@ -502,31 +481,21 @@ def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSumma
         raise ValueError(f"family must be one of {_AUDIT_FAMILIES}, got {family!r}")
 
     rng = np.random.default_rng(seed)
-    tally = _AuditTally()
+    # AuditSummary's counters, the fields after samples, seed and family
+    counts = dict.fromkeys((f.name for f in fields(AuditSummary)[3:]), 0)
+    counts["max_first_law_residual"] = 0.0
     for start in range(0, samples, _AUDIT_CHUNK):
         drawn = np.empty(min(_AUDIT_CHUNK, samples - start), dtype=_DRAW)
         for i in range(len(drawn)):
             drawn[i] = _draw_config(rng, family)
         second = drawn["second_kind"]
-        _audit_first_kind(drawn[~second], tally)
-        _audit_second_kind(drawn[second], tally)
+        _audit_first_kind(drawn[~second], counts)
+        _audit_second_kind(drawn[second], counts)
 
-    return AuditSummary(
-        samples=samples,
-        seed=int(seed),
-        family=family,
-        ledgers=tally.ledgers,
-        engines=tally.engines,
-        max_first_law_residual=tally.max_residual,
-        first_law_violations=tally.first_law_violations,
-        clausius_checked=tally.clausius_checked,
-        clausius_violations=tally.clausius_violations,
-        bound_checked=tally.bound_checked,
-        bound_violations=tally.bound_violations,
-    )
+    return AuditSummary(samples=samples, seed=int(seed), family=family, **counts)
 
 
-def _audit_first_kind(drawn: np.ndarray, tally: _AuditTally) -> None:
+def _audit_first_kind(drawn: np.ndarray, counts: dict) -> None:
     omega1, omega2, t1, t2 = (drawn[name] for name in ("omega1", "omega2", "t1", "t2"))
     errors = np.full(len(drawn), None, dtype=object)
     n2 = rowwise(occupation, errors, omega2, t2)
@@ -541,7 +510,7 @@ def _audit_first_kind(drawn: np.ndarray, tally: _AuditTally) -> None:
     )
     _raise_first(theta_errors)
     bound = 1.0 - np.divide(t1, theta, out=np.full(len(t1), np.nan), where=theta > 0.0)
-    tally.add(ledgers, t2, ledgers.eta, bound)
+    _tally(counts, ledgers, t2, ledgers.eta, bound)
     del ledgers, theta, bound
 
     nonpassive = dn > 0.0
@@ -551,10 +520,10 @@ def _audit_first_kind(drawn: np.ndarray, tally: _AuditTally) -> None:
     )
     refrigerates = ~np.isnan(modified.cop) & (t2 > t1)
     cop_bound = np.divide(t1, t2 - t1, out=np.full(len(t1), np.nan), where=refrigerates)
-    tally.add(modified, t2, modified.cop, cop_bound)
+    _tally(counts, modified, t2, modified.cop, cop_bound)
 
 
-def _audit_second_kind(drawn: np.ndarray, tally: _AuditTally) -> None:
+def _audit_second_kind(drawn: np.ndarray, counts: dict) -> None:
     t1 = drawn["t1"]
     ledgers = ledger_columns(
         CycleKind.SECOND_KIND, drawn["omega1"], drawn["omega2"], t1, drawn["t2"], drawn["excess"]
@@ -562,4 +531,4 @@ def _audit_second_kind(drawn: np.ndarray, tally: _AuditTally) -> None:
     hot = ledgers.hot_temperatures()
     bounded = ~np.isnan(ledgers.eta) & (hot > 0.0)
     bound = 1.0 - np.divide(t1, hot, out=np.full(len(t1), np.nan), where=bounded)
-    tally.add(ledgers, hot, ledgers.eta, bound)
+    _tally(counts, ledgers, hot, ledgers.eta, bound)

@@ -5,11 +5,16 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otto_forge
 from otto_forge.cli import main
 from otto_forge.sweeps import TABLE_COLUMNS
 
@@ -367,6 +372,23 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    def test_import_leaves_scipy_to_the_oracle(self):
+        # only the Fock oracle needs scipy; `cycle`, `sweep` and `audit` never load it
+        code = (
+            "import sys, otto_forge.cli\n"
+            "assert 'scipy' not in sys.modules, 'import otto_forge.cli loaded scipy'\n"
+            "from otto_forge import GaussianModeState, ergotropy_analytic, ergotropy_fock\n"
+            "state = GaussianModeState(n_th=0.2, r=0.5, alpha=1.0)\n"
+            "assert abs(ergotropy_fock(state, 20.0, cutoff=128)"
+            " - ergotropy_analytic(state, 20.0)) < 1e-8\n"
+        )
+        src = pathlib.Path(otto_forge.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
 
 
 # CLI fuzz: argv drawn over every command but the oracle, with values that

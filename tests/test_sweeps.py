@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -195,6 +196,55 @@ class TestRunSweep:
         )
         rows = run_sweep(spec)
         assert rows[0].ledger.e2 == pytest.approx(rows[1].ledger.e2, rel=1e-12)
+
+
+class TestFailedRows:
+    """A failed row costs about what a clean row costs and keeps its first error."""
+
+    SECOND_KIND_GRID = SweepSpec(
+        CycleConfig(7, 20, 2, 10, SecondKindBath(excess=0.0)),
+        SweepAxis.DELTA_N, -1.0, 1.0, 30_000, CycleKind.SECOND_KIND,
+    )
+    SQUEEZE_GRID = SweepSpec(FIG5_BASE, SweepAxis.SQUEEZE_R, 0.0, 1000.0, 30_000)
+
+    @staticmethod
+    def best_time(spec):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            run_sweep(spec)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    @pytest.mark.parametrize("spec", [SECOND_KIND_GRID, SQUEEZE_GRID], ids=["delta-n", "squeeze-r"])
+    def test_many_failed_rows_stay_fast(self, spec):
+        # about 40 % (delta-n) and 65 % (squeeze-r) of these rows fail; a
+        # failure cost that grows with the table size takes seconds at 3e4 rows
+        assert self.best_time(spec) < 1.0
+
+    def test_invalid_excess_is_the_row_error(self):
+        rows = run_sweep(self.SECOND_KIND_GRID)
+        n2 = occupation(20, 10)
+        for row in rows:
+            if row.axis_value < -n2:
+                assert row.error.startswith("InvalidExcess: excess ")
+            else:
+                assert row.error is None
+
+    def test_bath_overflow_is_the_row_error(self):
+        # sinh(r)**2 overflows above r = 355.6 and sinh(r) itself above
+        # r = 710.5; those rows keep the bath's error, not the kernel's
+        # "a ledger entry exceeds the double range"
+        errors = {}
+        for row in run_sweep(self.SQUEEZE_GRID):
+            if row.axis_value > 711.0:
+                errors.setdefault("sinh", set()).add(row.error)
+            elif 356.0 < row.axis_value < 710.0:
+                errors.setdefault("square", set()).add(row.error)
+        assert errors == {
+            "sinh": {"OverflowError: math range error"},
+            "square": {"OverflowError: (34, 'Numerical result out of range')"},
+        }
 
 
 class TestEmitTable:
