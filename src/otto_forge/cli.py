@@ -107,6 +107,8 @@ def _merge_config(args: argparse.Namespace) -> None:
         action = actions.get(key)
         if action is None or key in ("config", "help"):
             raise _UsageError(f"unknown config key {raw_key!r}")
+        if action.nargs == 0 and not isinstance(value, bool):  # a flag without a value
+            raise _UsageError(f"config key {raw_key!r}: expected true or false, got {value!r}")
         if action.type is not None:
             try:
                 value = action.type(str(value))

@@ -1,31 +1,30 @@
 """Truncated-Fock-space brute-force oracle for Gaussian-state energetics.
 
 Everything here deliberately avoids the closed forms of
-:mod:`otto_forge.gaussian`: states are built as explicit matrices from
-exponentials of truncated squeeze/displacement generators, and work content
-is extracted spectrally, by pairing density-matrix eigenvalues (sorted
-descending) with oscillator levels (sorted ascending). The analytic and
-spectral routes validate each other; neither is allowed to call into the
-other's formulas.
+:mod:`otto_forge.gaussian`: states are built from exponentials of truncated
+squeeze/displacement generators, and work content is extracted spectrally,
+by pairing density-matrix eigenvalues (sorted descending) with oscillator
+levels (sorted ascending). The analytic and spectral routes validate each
+other; neither is allowed to call into the other's formulas.
 
-The build is low-rank. The truncated exponentials are exactly unitary, so
-rho = W W^dag with W = D S [sqrt(p_0) e_0 ... sqrt(p_{K-1}) e_{K-1}], where
-K counts the thermal levels whose population is above double round-off
-relative to p_0 (the dropped columns carry less than round-off; an
-undressed thermal state keeps all of them, exact level by level). Each
-generator is tridiagonal (the squeeze one per parity block), and its
-eigenbasis is applied to the N x K block, at O(N^2 K) cost; no N x N
-exponential is ever formed. The spectrum of the finished N x N matrix is
-still taken by an independent eigvalsh.
+A state is held once, as its low-rank factor. The truncated exponentials
+are exactly unitary, so rho = W W^dag with W = D S [sqrt(p_0) e_0 ...
+sqrt(p_{K-1}) e_{K-1}], where K counts the thermal levels whose population
+is above double round-off relative to p_0 (the dropped columns carry less
+than round-off; an undressed thermal state keeps all of them, exact level
+by level). Each generator is tridiagonal (the squeeze one per parity block),
+and its eigenbasis is applied to the N x K block, at O(N^2 K) cost. The
+populations are the squared row norms of W; the spectrum is an independent
+eigvalsh of the K x K Gram matrix W^dag W, whose eigenvalues are the nonzero
+ones of W W^dag. No N x N matrix is formed unless `FockDensity.matrix` is read.
 
 One numerical subtlety governs the guards: because the truncated dressing
-is unitary at any cutoff, the trace of the built matrix stays near one even
+is unitary at any cutoff, the trace of the built state stays near one even
 when the cutoff is far too small - the mass that should leak past the cutoff
 is reflected back instead. The raw trace deficit therefore only measures the
 thermal diagonal's tail, and the guards additionally inspect the occupation
 mass parked on the top Fock levels (the reflected mass lands there), which
-does detect an unresolved state. Both are read from the row norms of W, so
-a rejected cutoff never allocates the N x N matrix.
+does detect an unresolved state. Both are read from the row norms of W.
 
 The cutoff search uses the tail-decay law: the tail bound falls roughly as
 exp(-2N/V) with V = (2 n_th + 1) e^{2r} + 2|alpha|^2, so it starts at
@@ -50,7 +49,6 @@ HARD_CUTOFF_CAP = 4096
 # Round-off policy for spectra: eigenvalues in [-1e-10, 0) are clipped to 0,
 # anything lower means the truncation itself is broken.
 _EIGENVALUE_FLOOR = -1e-10
-_HERMITICITY_TOL = 1e-12
 _ENTROPY_FLOOR = 1e-15
 
 
@@ -62,30 +60,34 @@ def thermal_probabilities(n_th: float, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockDensity:
-    """Hermitian positive-semidefinite matrix on a truncated Fock basis.
+    """A state rho = W W^dag on a truncated Fock basis, held as its N x K factor W.
 
     trace_deficit is 1 - trace (the diagonal tail mass lost to truncation);
     edge_mass is the occupation found on the top levels of the truncated
     basis, which bounds the mass the truncated unitaries failed to resolve.
     """
 
-    matrix: np.ndarray
+    factor: np.ndarray
     trace_deficit: float
     edge_mass: float = 0.0
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > _HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian to 1e-12")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        w = np.array(self.factor)
+        if w.ndim != 2 or not 1 <= w.shape[1] <= w.shape[0]:
+            raise ValueError(f"density factor must be N x K with 1 <= K <= N, got shape {w.shape}")
+        w.setflags(write=False)
+        object.__setattr__(self, "factor", w)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.factor.shape[0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """rho as a read-only N x N array, formed on first read; the oracle never reads it."""
+        m = self.factor @ self.factor.conj().T
+        m.setflags(write=False)
+        return m
 
     @property
     def tail_bound(self) -> float:
@@ -95,16 +97,17 @@ class FockDensity:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Spectrum in ascending order, clipped to [0, 1] after round-off checks."""
-        ev = np.linalg.eigvalsh(self.matrix)
+        w = self.factor
+        ev = np.linalg.eigvalsh(w.conj().T @ w)
         if ev[0] < _EIGENVALUE_FLOOR:
             raise DensityNotPositive(
                 f"eigenvalue {ev[0]:.3e} below the {_EIGENVALUE_FLOOR:.0e} round-off floor"
             )
-        return np.clip(ev, 0.0, 1.0)
+        return np.clip(np.concatenate((np.zeros(self.dim - ev.size), ev)), 0.0, 1.0)
 
     def populations(self) -> np.ndarray:
-        """Diagonal occupation probabilities."""
-        return np.real(np.diagonal(self.matrix))
+        """Diagonal occupation probabilities: the squared row norms of W."""
+        return _squared_row_norms(self.factor)
 
     def mean_occupation(self) -> float:
         return float(self.populations() @ np.arange(self.dim))
@@ -112,6 +115,10 @@ class FockDensity:
     def mean_energy(self, omega: float) -> float:
         """Tr(rho H) for H = omega (a^dag a + 1/2) truncated to this basis."""
         return float(self.populations() @ (omega * (np.arange(self.dim) + 0.5)))
+
+
+def _squared_row_norms(w: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", w, w.conj()).real
 
 
 def _real_times_complex(real: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -196,9 +203,9 @@ def build_fock_density(
     The squeeze and displacement are exponentials of truncated generators
     (computed numerically, not from closed-form matrix elements), applied to
     the populated columns of the truncated geometric thermal diagonal, so
-    rho = W W^dag. Raises CutoffTooSmall, before the N x N matrix is formed,
-    when the tail bound (trace deficit or edge occupation, both read from
-    the row norms of W) exceeds tail_tol.
+    rho = W W^dag, held as W. Raises CutoffTooSmall when the tail bound
+    (trace deficit or edge occupation, both read from the row norms of W)
+    exceeds tail_tol.
     """
     cutoff = int(cutoff)
     if cutoff < 1:
@@ -207,11 +214,7 @@ def build_fock_density(
         raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol!r}")
 
     w = _dressed_thermal_columns(state, thermal_probabilities(state.n_th, cutoff))
-    # Centred real states have a real W (to round-off); keeping it float64
-    # keeps the density and eigvalsh real-symmetric.
-    if state.squeeze_phase == 0.0 and state.alpha.imag == 0.0:
-        w = np.ascontiguousarray(w.real)
-    populations = np.einsum("ij,ij->i", w, w.conj()).real
+    populations = _squared_row_norms(w)
 
     deficit = 1.0 - float(np.sum(populations))
     edge = _edge_mass(populations)
@@ -223,7 +226,7 @@ def build_fock_density(
             f"above the tolerance {tail_tol:.3e}",
             tail_mass=tail,
         )
-    return FockDensity(matrix=w @ w.conj().T, trace_deficit=deficit, edge_mass=edge)
+    return FockDensity(factor=w, trace_deficit=deficit, edge_mass=edge)
 
 
 def ergotropy_of_density(density: FockDensity, omega: float) -> float:

@@ -26,9 +26,7 @@ byte-identical to one built row by row with the scalar evaluators.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 from collections.abc import Sequence
@@ -275,30 +273,19 @@ def row_record(row: SweepRow) -> dict:
     return {"axis": row.axis_value} | ledger_record(row.ledger, row.law)
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _csv_error_line(record: dict) -> str:
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\r\n").writerow(
-        _csv_cell(record[c]) for c in TABLE_COLUMNS
-    )
-    return buffer.getvalue()
-
-
 # Columns that may be undefined (empty in CSV, null in JSON), and the row
 # templates: defined floats go through "%.17g" (CSV) or repr (JSON, as
-# json.dumps writes floats); the other cells are formatted beforehand.
+# json.dumps writes floats); the other cells are formatted beforehand. A
+# failed row has only its axis value and its regime cell, "error:<error>".
 _NULLABLE = ("W3_prime", "eta", "cop")
 _PRESET = (*_NULLABLE, "regime")
 _CSV_ROW = ",".join("%s" if c in _PRESET else "%.17g" for c in TABLE_COLUMNS) + "\r\n"
 _JSON_ROW = "{" + ", ".join(
     f'"{c}": ' + ("%s" if c in _PRESET else "%r") for c in TABLE_COLUMNS
+) + "}"
+_CSV_ERROR = ",".join({"axis": "%.17g", "regime": "%s"}.get(c, "") for c in TABLE_COLUMNS) + "\r\n"
+_JSON_ERROR = "{" + ", ".join(
+    f'"{c}": ' + {"axis": "%r", "regime": "%s"}.get(c, "null") for c in TABLE_COLUMNS
 ) + "}"
 
 # Rows formatted per piece of a table: keeps the strings of one piece small.
@@ -326,23 +313,30 @@ def _table_cells(table: SweepTable, number_format: str, null: str, regime_cell) 
     return [cells[name] for name in TABLE_COLUMNS]
 
 
-def _format_rows(table: SweepTable, row_format: str, separator: str, cells, error_line) -> str:
-    """The rows of a table piece joined by `separator`; failed rows come from their records."""
+def _format_rows(table: SweepTable, cells, row_format: str, error_format: str, text_cell) -> list:
+    """The rows of a table piece; a failed row keeps its axis value and its error cell."""
     lines = [row_format % row for row in zip(*cells)]
     for i in np.flatnonzero(table.columns.failed).tolist():
-        lines[i] = error_line(row_record(table[i]))
-    return separator.join(lines)
+        lines[i] = error_format % (cells[0][i], text_cell("error:" + table[i].error))
+    return lines
+
+
+def _csv_text(cell: str) -> str:
+    """A text cell quoted as the csv module's QUOTE_MINIMAL quotes it."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _csv_piece(table: SweepTable) -> str:
     cells = _table_cells(table, "%.17g", "", str)
-    return _format_rows(table, _CSV_ROW, "", cells, _csv_error_line)
+    return "".join(_format_rows(table, cells, _CSV_ROW, _CSV_ERROR, _csv_text))
 
 
 def _json_piece(table: SweepTable) -> str:
     strict_json = functools.partial(json.dumps, allow_nan=False)
     cells = _table_cells(table, "%r", "null", strict_json)
-    return _format_rows(table, _JSON_ROW, ", ", cells, strict_json)
+    return ", ".join(_format_rows(table, cells, _JSON_ROW, _JSON_ERROR, strict_json))
 
 
 def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
@@ -350,7 +344,7 @@ def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
 
     CSV floats carry 17 significant digits, enough to round-trip doubles
     exactly; the JSON form round-trips bit-exactly through json.loads. Only
-    error-row cells can need CSV quoting; they go through the csv module.
+    error-row regime cells can need CSV quoting.
     """
     if not len(rows):
         raise ValueError("emit_table needs at least one row")

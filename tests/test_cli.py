@@ -245,11 +245,13 @@ class TestAuditCommand:
         ("cycle", *FIG5, "--bath", "squeezed:0.5+squeezed:0.7"),
         ("sweep", *FIG5, "--bath", "thermal", "--axis", "frequency-ratio",
          "--start", "0.1", "--stop", "1", "--steps", "1000000000000"),
+        ("ergotropy", "--nth", "0.2", "--r", "0.5", "--omega", "3", {"oracle": "false"}),
+        ("ergotropy", "--nth", "0.2", "--r", "0.5", "--omega", "3", {"oracle": 7}),
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
     def no_oracle(*args, **kwargs):
-        raise AssertionError("the oracle ran on an invalid tail tolerance")
+        raise AssertionError("the oracle ran on invalid input")
 
     monkeypatch.setattr("otto_forge.cli.choose_cutoff", no_oracle)
     if isinstance(argv[-1], dict):  # a trailing dict goes in through --config
@@ -364,6 +366,14 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "cycle", "--config", str(config))
         assert code == 2
         assert "omega9" in err
+
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_boolean_flag_from_config(self, capsys, tmp_path, oracle):
+        config = tmp_path / "ergotropy.json"
+        config.write_text(json.dumps({"nth": 0.2, "r": 0.5, "omega": 3, "oracle": oracle}))
+        code, out, _ = run_cli(capsys, "ergotropy", "--config", str(config))
+        assert code == 0
+        assert ("oracle_cutoff" in json.loads(out)) is oracle
 
 
 class TestUsage:

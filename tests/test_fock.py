@@ -57,6 +57,17 @@ def dense_reference_density(state: GaussianModeState, cutoff: int) -> np.ndarray
     return (dressing * p) @ dressing.conj().T
 
 
+# dressed states small enough for dense expm references, with their cutoffs
+DRESSED_STATES = [
+    (GaussianModeState(0.3, r=0.4, alpha=1.1), 64),
+    (GaussianModeState(1.0, alpha=-1.0), 48),
+    (GaussianModeState(0.0, r=0.6), 40),
+    (GaussianModeState(0.5, r=0.3, alpha=0.8 + 0.6j), 64),
+    (GaussianModeState(0.2, r=0.5, squeeze_phase=0.7), 48),
+    (GaussianModeState(0.4, r=0.2, alpha=-0.3 - 0.9j, squeeze_phase=2.1), 33),
+]
+
+
 class TestConstruction:
     def test_vacuum_is_exact(self):
         density = build_fock_density(GaussianModeState(0.0), cutoff=4)
@@ -91,21 +102,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             m[0, 0] = 2.0
 
-    @pytest.mark.parametrize(
-        "state, cutoff",
-        [
-            (GaussianModeState(0.3, r=0.4, alpha=1.1), 64),
-            (GaussianModeState(1.0, alpha=-1.0), 48),
-            (GaussianModeState(0.0, r=0.6), 40),
-            (GaussianModeState(0.5, r=0.3, alpha=0.8 + 0.6j), 64),
-            (GaussianModeState(0.2, r=0.5, squeeze_phase=0.7), 48),
-            (GaussianModeState(0.4, r=0.2, alpha=-0.3 - 0.9j, squeeze_phase=2.1), 33),
-        ],
-    )
+    @pytest.mark.parametrize("state, cutoff", DRESSED_STATES)
     def test_factor_build_matches_dense_exponentials(self, state, cutoff):
         density = build_fock_density(state, cutoff, tail_tol=1e-6)
         reference = dense_reference_density(state, cutoff)
         assert np.max(np.abs(density.matrix - reference)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "state, cutoff", [*DRESSED_STATES, (GaussianModeState(1.0), 64)]
+    )
+    def test_gram_spectrum_matches_dense_eigvalsh(self, state, cutoff):
+        # the K x K Gram spectrum, padded with zeros, is the N x N one
+        density = build_fock_density(state, cutoff, tail_tol=1e-6)
+        reference = np.clip(np.linalg.eigvalsh(dense_reference_density(state, cutoff)), 0, 1)
+        assert density.eigenvalues.shape == (cutoff,)
+        assert np.max(np.abs(density.eigenvalues - reference)) <= 1e-13
+
+    def test_oracle_path_never_forms_the_matrix(self):
+        state = GaussianModeState(0.5, r=0.3, alpha=0.8 + 0.6j)
+        cutoff = choose_cutoff(state, 1e-10)
+        density = build_fock_density(state, cutoff, tail_tol=1e-10)
+        ergotropy_of_density(density, 3.0)
+        entropy_fock(density)
+        assert "matrix" not in vars(density)
+        assert density.factor.shape[1] < cutoff
 
     def test_cutoff_too_small_carries_its_tail_mass(self):
         with pytest.raises(CutoffTooSmall) as info:
@@ -124,15 +144,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build_fock_density(GaussianModeState(0.0), cutoff=8, tail_tol=0.0)
 
-    def test_non_hermitian_rejected(self):
-        bad = np.array([[0.5, 0.1], [0.4, 0.5]])
+    @pytest.mark.parametrize("factor", [np.ones(3), np.ones((2, 3))])
+    def test_malformed_factor_rejected(self, factor):
         with pytest.raises(ValueError):
-            FockDensity(matrix=bad, trace_deficit=0.0)
+            FockDensity(factor=factor, trace_deficit=0.0)
 
-    def test_non_positive_rejected(self):
-        bad = np.diag([1.1, -0.1])
+    def test_non_positive_rejected(self, monkeypatch):
+        # a Gram matrix is positive to round-off, so the floor is reached
+        # through a spectrum that lies below it
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda gram: np.array([-0.1, 1.1]))
+        density = FockDensity(factor=np.eye(3, 2), trace_deficit=0.0)
         with pytest.raises(DensityNotPositive):
-            FockDensity(matrix=bad, trace_deficit=0.0).eigenvalues
+            density.eigenvalues
 
 
 class TestErgotropyOracle:

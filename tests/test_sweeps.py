@@ -287,6 +287,25 @@ class TestEmitTable:
         csv_first = emit_table(rows, format="csv").decode().split("\r\n")[1]
         assert "error:InvalidExcess" in csv_first
 
+    def test_tables_match_the_csv_module_and_json_dumps(self):
+        # clean rows and both bath overflows, one of whose messages holds a
+        # comma and so must be quoted in CSV
+        spec = SweepSpec(FIG5_BASE, SweepAxis.SQUEEZE_R, 300.0, 720.0, 43, CycleKind.MODIFIED)
+        rows = run_sweep(spec)
+        records = [row_record(row) for row in rows]
+        failed = {r["regime"] for r in records if r["regime"].startswith("error:")}
+        assert {"," in regime for regime in failed} == {True, False}
+        assert any(r["W1"] is not None for r in records)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\r\n")
+        writer.writerow(TABLE_COLUMNS)
+        for record in records:
+            writer.writerow("" if v is None else f"{v:.17g}" if isinstance(v, float) else v
+                            for v in record.values())
+        assert emit_table(rows, format="csv").decode() == buffer.getvalue()
+        expected = "[" + ", ".join(json.dumps(r, allow_nan=False) for r in records) + "]"
+        assert emit_table(rows, format="json").decode() == expected
+
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
             emit_table([])
