@@ -97,7 +97,7 @@ def _merge_config(args: argparse.Namespace) -> None:
     try:
         with open(args.config, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an int over 4300 digits
         raise _UsageError(f"cannot read config file {args.config!r}: {exc}") from None
     if not isinstance(payload, dict):
         raise _UsageError("config file must hold a flat JSON object")
@@ -109,6 +109,8 @@ def _merge_config(args: argparse.Namespace) -> None:
             raise _UsageError(f"unknown config key {raw_key!r}")
         if action.nargs == 0 and not isinstance(value, bool):  # a flag without a value
             raise _UsageError(f"config key {raw_key!r}: expected true or false, got {value!r}")
+        if action.nargs != 0 and action.type is None and not isinstance(value, str):
+            raise _UsageError(f"config key {raw_key!r}: expected a string, got {value!r}")
         if action.type is not None:
             try:
                 value = action.type(str(value))
@@ -199,8 +201,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError(str(exc)) from None
     table = emit_table(run_sweep(spec), format=args.format)
     if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(table)
+        try:
+            with open(args.out, "wb") as handle:
+                handle.write(table)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out!r}: {exc}") from None
     else:
         sys.stdout.buffer.write(table)
         sys.stdout.buffer.flush()

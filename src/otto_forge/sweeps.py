@@ -14,8 +14,9 @@ the axis value. That makes efficiency-versus-excess sweeps bath-agnostic.
 Sweeps and audits run on columns. A sweep builds the omega1, T1 and delta_n
 columns of its axis and makes one call of the ledger kernel,
 `cycles.ledger_columns`; `emit_table` formats CSV and JSON straight from the
-resulting columns, a few thousand rows at a time. An audit draws its samples
-one by one (so the random stream is fixed), evaluates each family with one
+resulting columns, a few thousand rows at a time. An audit decodes its
+samples in arrays from the raw words of its generator, bit for bit the
+values that sequential `Generator` calls give, evaluates each family with one
 kernel call and tallies its checks as array reductions. Every
 transcendental, power and complex modulus (delta_n, the occupations and
 temperatures) is a per-element `math` call, that is libm, in the scalar
@@ -29,7 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -406,25 +407,106 @@ _DRAW = np.dtype([
 ])
 
 
-def _draw_config(rng: np.random.Generator, family: str) -> tuple:
-    """One random configuration, as a record of _DRAW."""
-    omega2 = rng.uniform(1.0, 100.0)
-    ratio = rng.uniform(0.0, 1.0)
-    omega1 = omega2 * (ratio if ratio > 0.0 else 1e-6)
-    t2 = rng.uniform(0.0, 50.0)
-    t1 = rng.uniform(0.0, 1.0) * t2
-    kind = family if family != "mixed" else ("first-kind", "second-kind")[rng.integers(2)]
-    if kind == "second-kind":
-        n2 = occupation(omega2, t2)
-        excess = rng.uniform(0.0, 1.0) * (n2 + 2.0) - n2  # keeps n2 + excess >= 0
-        return omega1, omega2, t1, t2, True, 0.0, 0j, excess
-    r = rng.uniform(0.0, 1.5)
-    mag = rng.uniform(0.0, 3.0)
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    alpha = mag * complex(math.cos(phase), math.sin(phase))
-    choice = rng.integers(4)  # thermal, squeezed, displaced, squeezed and displaced
-    return (omega1, omega2, t1, t2, False,
-            r if choice in (1, 3) else 0.0, alpha if choice >= 2 else 0j, 0.0)
+def _layout(family: str, count: int, words: np.ndarray, half: int | None):
+    """Where each of `count` samples reads the raw `words`, in one integer-only pass.
+
+    `half` holds the top two bits of a buffered high half-word, or is None.
+    Returns the words used, the half left buffered, and per sample the index
+    of its first word, of its first word after the kind, its kind and its
+    bath choice.
+    """
+    # the top two bits of each word's low and high 32-bit half
+    low = (words >> 30 & 3).astype(np.uint8).tobytes()
+    high = (words >> 62).astype(np.uint8).tobytes()
+    base, tail, second, choice = [], [], [], []
+    pos = 0
+    mixed, kind = family == "mixed", family == "second-kind"
+    for _ in range(count):
+        base.append(pos)
+        pos += 4
+        if mixed:
+            if half is None:  # integers(2): the top bit of a 32-bit half
+                bits, half, pos = low[pos], high[pos], pos + 1
+            else:
+                bits, half = half, None
+            kind = bits >> 1
+        tail.append(pos)
+        second.append(kind)
+        if kind:
+            pos += 1
+            choice.append(0)
+            continue
+        pos += 3
+        if half is None:  # integers(4): the top two bits of a 32-bit half
+            bits, half, pos = low[pos], high[pos], pos + 1
+        else:
+            bits, half = half, None
+        choice.append(bits)
+    return pos, half, (base, tail, second, choice)
+
+
+def _uniform(lo: float, hi: float, u: np.ndarray) -> np.ndarray:
+    """`Generator.uniform(lo, hi)` for the unit draws `u`."""
+    return lo + (hi - lo) * u
+
+
+def _decode(words: np.ndarray, base: list, tail: list, second: list, choice: list) -> np.ndarray:
+    """_DRAW records from the raw `words`, laid out by `_layout`."""
+    u = (words >> 11) * 2.0**-53  # each word as a uniform draw in [0, 1)
+    drawn = np.zeros(len(base), dtype=_DRAW)
+    base = np.array(base)
+    omega2 = drawn["omega2"] = _uniform(1.0, 100.0, u[base])
+    ratio = u[base + 1]
+    drawn["omega1"] = omega2 * np.where(ratio > 0.0, ratio, 1e-6)
+    t2 = drawn["t2"] = _uniform(0.0, 50.0, u[base + 2])
+    drawn["t1"] = u[base + 3] * t2
+
+    second = drawn["second_kind"] = np.array(second, dtype=bool)
+    first = ~second
+    tail = np.array(tail)
+    n2 = np.array([occupation(*pair) for pair in zip(omega2[second].tolist(),
+                                                      t2[second].tolist())])
+    drawn["excess"][second] = u[tail[second]] * (n2 + 2.0) - n2  # keeps n2 + excess >= 0
+
+    # bath choice: thermal, squeezed, displaced, squeezed and displaced
+    tail, choice = tail[first], np.array(choice)[first]
+    drawn["r"][first] = np.where(choice & 1, _uniform(0.0, 1.5, u[tail]), 0.0)
+    displaced = choice >= 2
+    mag = _uniform(0.0, 3.0, u[tail + 1])[displaced].tolist()
+    phase = _uniform(0.0, 2.0 * math.pi, u[tail + 2])[displaced].tolist()
+    drawn["alpha"][np.flatnonzero(first)[displaced]] = [
+        m * complex(math.cos(p), math.sin(p)) for m, p in zip(mag, phase)
+    ]
+    return drawn
+
+
+def _draw_chunks(rng: np.random.Generator, family: str, sizes: Iterable[int]):
+    """The samples `rng` would draw, as one array of _DRAW records per size in `sizes`.
+
+    Decodes the raw words of rng's PCG64 stream exactly as sequential calls do:
+    per sample, `uniform` for omega2, the frequency ratio, T2 and the T1
+    factor; for `mixed`, `integers(2)` for the kind; then `uniform` for a
+    second-kind excess factor, or for r, |alpha| and the phase and
+    `integers(4)` for the bath choice. `uniform(lo, hi)` is
+    `lo + (hi - lo) * ((word >> 11) * 2**-53)`. `integers(2)` and
+    `integers(4)` keep the top bits of a 32-bit half-word (Lemire's method
+    never rejects for these ranges): the low half of a new word, whose high
+    half is then buffered for the next such call. Words read but not used,
+    and the buffered half, carry over to the next size.
+    """
+    words = np.empty(0, dtype=np.uint64)
+    half = None
+    for count in sizes:
+        # a sample takes at most 8 words: 4 uniforms, a half-word for the kind,
+        # 3 uniforms and a half-word for the bath choice
+        need = 8 * count - len(words)
+        if need > 0:
+            words = np.concatenate((words, rng.bit_generator.random_raw(need)))
+        used, half, layout = _layout(family, count, words, half)
+        drawn = _decode(words[:used], *layout)
+        del layout  # hold only the unused words while the chunk is audited
+        words = words[used:].copy()
+        yield drawn
 
 
 def _raise_first(errors: np.ndarray) -> None:
@@ -459,14 +541,16 @@ def _tally(
 def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSummary:
     """Audit the thermodynamic laws over `samples` random configurations.
 
-    Configurations are drawn uniformly over omega2 in [1, 100], omega1 in
-    (0, omega2], T2 in [0, 50], T1 in [0, T2], squeezing in [0, 1.5] and
-    |alpha| in [0, 3] from a generator seeded by `seed`; the sample list is
-    generated sequentially so the summary is reproducible regardless of how
-    the evaluations are scheduled. First-kind samples audit the standard
-    cycle and, when the bath is non-passive, the modified cycle as well
-    (including the COP bound in the dual regime); second-kind samples audit
-    the Carnot bound at the real temperature.
+    Configurations are drawn uniformly from a generator seeded by `seed`:
+    omega2 in [1, 100), omega1 = ratio * omega2 with ratio in [0, 1) (a ratio
+    of 0 is replaced by 1e-6), T2 in [0, 50), T1 = factor * T2 with factor in
+    [0, 1), squeezing in [0, 1.5) and |alpha| in [0, 3). The samples are
+    exactly those that sequential `Generator.uniform` and `integers` calls
+    give, decoded from the generator's raw stream in chunks, so the summary
+    depends only on `samples`, `seed` and `family`. First-kind samples audit
+    the standard cycle and, when the bath is non-passive, the modified cycle
+    as well (including the COP bound in the dual regime); second-kind samples
+    audit the Carnot bound at the real temperature.
     """
     samples = int(samples)
     if samples < 1:
@@ -478,10 +562,8 @@ def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSumma
     # AuditSummary's counters, the fields after samples, seed and family
     counts = dict.fromkeys((f.name for f in fields(AuditSummary)[3:]), 0)
     counts["max_first_law_residual"] = 0.0
-    for start in range(0, samples, _AUDIT_CHUNK):
-        drawn = np.empty(min(_AUDIT_CHUNK, samples - start), dtype=_DRAW)
-        for i in range(len(drawn)):
-            drawn[i] = _draw_config(rng, family)
+    sizes = (min(_AUDIT_CHUNK, samples - start) for start in range(0, samples, _AUDIT_CHUNK))
+    for drawn in _draw_chunks(rng, family, sizes):
         second = drawn["second_kind"]
         _audit_first_kind(drawn[~second], counts)
         _audit_second_kind(drawn[second], counts)

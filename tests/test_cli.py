@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -247,6 +248,12 @@ class TestAuditCommand:
          "--start", "0.1", "--stop", "1", "--steps", "1000000000000"),
         ("ergotropy", "--nth", "0.2", "--r", "0.5", "--omega", "3", {"oracle": "false"}),
         ("ergotropy", "--nth", "0.2", "--r", "0.5", "--omega", "3", {"oracle": 7}),
+        # a path that is not a string must not reach open(): true is fd 1, stdout
+        ("sweep", *FIG5, "--bath", "thermal", "--axis", "frequency-ratio",
+         "--start", "0.1", "--stop", "1", "--steps", "3", {"out": True}),
+        ("sweep", *FIG5, "--bath", "thermal", "--axis", "frequency-ratio",
+         "--start", "0.1", "--stop", "1", "--steps", "3", {"out": [1]}),
+        ("cycle", *FIG5, {"bath": {"squeezed": 0.5}}),
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
@@ -263,6 +270,25 @@ def test_out_of_range_values_are_usage_errors(capsys, monkeypatch, tmp_path, arg
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error:")
+
+
+def test_config_int_too_long_to_read_is_usage_error(capsys, tmp_path):
+    # json.load raises a plain ValueError past int(str)'s 4300-digit limit
+    path = tmp_path / "config.json"
+    path.write_text('{"samples": 3, "seed": 1' + "0" * 5000 + "}")
+    code, out, err = run_cli(capsys, "audit", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_unwritable_out_file_is_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "table.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", *FIG5, "--bath", "thermal", "--axis", "frequency-ratio",
+        "--start", "0.1", "--stop", "1", "--steps", "3", "--out", str(out_path),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write")
 
 
 @pytest.mark.parametrize("bath", ["squeezed:1e308", "displaced:1e200,0"])
@@ -468,18 +494,92 @@ def check_table(text):
                 assert math.isfinite(float(cell))
 
 
-@settings(max_examples=300, deadline=None)
-@given(ARGV)
-def test_cli_contract_holds_for_any_argv(argv):
-    code, out, err = run_isolated(argv)
+def check_contract(command, code, out, err):
+    """Exit 0, 2 or 3, no traceback, and stdout that is empty or parses."""
     assert code in (0, 2, 3)
     assert "Traceback" not in err
     if code == 2:
         assert out == ""
-    elif argv[0] == "sweep" and code == 0:
-        if "json" in argv:
+    elif command == "sweep" and code == 0:
+        if out.startswith("["):
             assert isinstance(strict_json(out), list)
         else:
             check_table(out)
     elif out:
         assert isinstance(strict_json(out), dict)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGV)
+def test_cli_contract_holds_for_any_argv(argv):
+    check_contract(argv[0], *run_isolated(argv))
+
+
+# Config fuzz: JSON objects whose values have the wrong type, are out of
+# range or do not fit a double, under known and unknown keys. Values are JSON
+# text, so 1e400 and integers too long for int(str) reach the parser as
+# written. No drawn config can run long: a valid samples or steps is at most
+# 50, and `out` is never a string, so nothing is written.
+WRONG = st.sampled_from([
+    "null", "true", "false", "[]", "[1, 2]", '{"a": 1}', '{"a": {"b": [null]}}',
+    "1e400", "-1e400", "1" + "0" * 30, "-1" + "0" * 30, "1" + "0" * 5000, '""', '"abc"',
+])
+SMALL = st.integers(-2, 50).map(str)
+NUMBER_TEXT = NUMBER.map(json.dumps) | st.sampled_from(["0", "7", "20", "0.5", "-3"])
+VALUE = NUMBER_TEXT | WRONG
+CONFIG_KEYS = {
+    "cycle": dict(
+        omega1=VALUE, omega2=VALUE, t1=VALUE, t2=VALUE, bath=BATH.map(json.dumps) | WRONG,
+        cycle=st.sampled_from(['"standard"', '"modified"', '"second-kind"']) | WRONG,
+    ),
+    "audit": dict(
+        samples=SMALL | WRONG.filter(lambda text: not text.isdigit()),
+        seed=SMALL | WRONG,
+        family=st.sampled_from(['"first-kind"', '"second-kind"', '"mixed"']) | WRONG,
+    ),
+}
+CONFIG_KEYS["sweep"] = dict(
+    CONFIG_KEYS["cycle"],
+    axis=st.sampled_from(['"frequency-ratio"', '"delta-n"', '"cold-temperature"']) | WRONG,
+    start=VALUE, stop=VALUE, steps=SMALL | WRONG, format=st.just('"json"') | WRONG,
+    out=WRONG.filter(lambda text: not text.startswith('"')),
+)
+UNKNOWN = st.sampled_from(["omega9", "", "config", "help", "func", "Samples", "out-file"])
+VALID = {
+    "cycle": {"omega1": "7", "omega2": "20", "t1": "2", "t2": "10", "bath": '"squeezed:0.5"'},
+    "audit": {"samples": "20", "seed": "1"},
+}
+VALID["sweep"] = dict(
+    VALID["cycle"], axis='"frequency-ratio"', start="0.1", stop="1", steps="20"
+)
+
+
+@st.composite
+def config_files(draw):
+    """A command and its --config text: a valid config with up to three keys changed.
+
+    A chosen key gets a drawn value or is dropped, and an unknown key may be added.
+    """
+    command = draw(st.sampled_from(sorted(CONFIG_KEYS)))
+    if draw(st.integers(0, 9)) == 0:  # not an object at all
+        return command, draw(WRONG)
+    values = dict(VALID[command])
+    for key in draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS[command])), max_size=3)):
+        if draw(st.booleans()):
+            values[key] = draw(CONFIG_KEYS[command][key])
+        else:
+            values.pop(key, None)
+    values |= draw(st.dictionaries(UNKNOWN, VALUE, max_size=1))
+    items = draw(st.permutations(list(values.items())))
+    return command, "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in items) + "}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_files())
+def test_cli_contract_holds_for_any_config(config):
+    command, text = config
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        check_contract(command, *run_isolated([command, "--config", path]))

@@ -1,4 +1,4 @@
-"""Byte-exact outputs: the README's fig2 and fig5 tables and three audit summaries.
+"""Byte-exact outputs: the README's fig2 and fig5 tables and six audit summaries.
 
 Each SHA-256 pins every byte of one command's output. A change to any of
 them changes a published number, so it must be deliberate and recorded.
@@ -37,6 +37,19 @@ GOLDEN = {
     "audit-mixed": (
         ["audit", "--samples", "2000", "--seed", "42", "--family", "mixed"],
         "f232be050533b31f61061765450d99e21c4b7e3a801d6b1d360495ed3772ef66",
+    ),
+    # 5000 samples: two full audit chunks and a partial one
+    "audit-first-kind-chunks": (
+        ["audit", "--samples", "5000", "--seed", "7", "--family", "first-kind"],
+        "8be844401881720d60355af14cf1253fed4ee56ea596f3f6d0ac6dd17eeb32ce",
+    ),
+    "audit-second-kind-chunks": (
+        ["audit", "--samples", "5000", "--seed", "7", "--family", "second-kind"],
+        "b200aebbf48abfce325d6d2330b4789e54e7059b9cd07afa26cdd9046586c92d",
+    ),
+    "audit-mixed-chunks": (
+        ["audit", "--samples", "5000", "--seed", "7", "--family", "mixed"],
+        "12e2b2c0e4354d0ef4313d86404e4e4cfad8ec195f6d43ce8cb8b4eb1d7310ad",
     ),
 }
 

@@ -6,7 +6,10 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otto_forge import (
     CycleConfig,
@@ -26,7 +29,7 @@ from otto_forge import (
     run_sweep,
 )
 from otto_forge.cycles import CYCLE_EVALUATORS
-from otto_forge.sweeps import TABLE_COLUMNS, row_record
+from otto_forge.sweeps import _DRAW, TABLE_COLUMNS, _draw_chunks, row_record
 
 FIG5_BASE = CycleConfig(7, 20, 2, 10, SqueezedThermalBath(0.5))
 
@@ -342,3 +345,48 @@ class TestAuditCampaign:
             audit_campaign(0, seed=1)
         with pytest.raises(ValueError):
             audit_campaign(10, seed=1, family="third-kind")
+        with pytest.raises(ValueError):
+            audit_campaign(10, seed=-1)
+
+
+def reference_draw(rng, family):
+    """One audit sample from sequential Generator calls, the order the decoder replays."""
+    omega2 = rng.uniform(1.0, 100.0)
+    ratio = rng.uniform(0.0, 1.0)
+    omega1 = omega2 * (ratio if ratio > 0.0 else 1e-6)
+    t2 = rng.uniform(0.0, 50.0)
+    t1 = rng.uniform(0.0, 1.0) * t2
+    kind = family if family != "mixed" else ("first-kind", "second-kind")[rng.integers(2)]
+    if kind == "second-kind":
+        n2 = occupation(omega2, t2)
+        excess = rng.uniform(0.0, 1.0) * (n2 + 2.0) - n2
+        return omega1, omega2, t1, t2, True, 0.0, 0j, excess
+    r = rng.uniform(0.0, 1.5)
+    mag = rng.uniform(0.0, 3.0)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    alpha = mag * complex(math.cos(phase), math.sin(phase))
+    choice = rng.integers(4)  # thermal, squeezed, displaced, squeezed and displaced
+    return (omega1, omega2, t1, t2, False,
+            r if choice in (1, 3) else 0.0, alpha if choice >= 2 else 0j, 0.0)
+
+
+class TestAuditDraws:
+    """The array decoder of the raw PCG64 stream replays sequential Generator calls.
+
+    Fails if a numpy release changes how `uniform` or `integers` consume the
+    stream, so that such a change cannot move an audit silently.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["first-kind", "second-kind", "mixed"]),
+        seed=st.sampled_from([0, 1, 2**64, 10**29 + 7]) | st.integers(0, 2**80),
+        # odd sizes leave a buffered half-word at a chunk boundary
+        sizes=st.lists(st.integers(0, 150).map(lambda k: 2 * k + 1), min_size=1, max_size=6),
+    )
+    def test_records_equal_sequential_calls(self, family, seed, sizes):
+        rng = np.random.default_rng(seed)
+        expected = np.array([reference_draw(rng, family) for _ in range(sum(sizes))], dtype=_DRAW)
+        chunks = list(_draw_chunks(np.random.default_rng(seed), family, sizes))
+        assert [len(chunk) for chunk in chunks] == sizes
+        assert np.concatenate(chunks).tobytes() == expected.tobytes()
