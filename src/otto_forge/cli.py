@@ -97,7 +97,8 @@ def _merge_config(args: argparse.Namespace) -> None:
     try:
         with open(args.config, encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an int over 4300 digits
+    except (OSError, ValueError) as exc:
+        # ValueError: bad JSON, or (Python >= 3.10.7) an int over the digit limit
         raise _UsageError(f"cannot read config file {args.config!r}: {exc}") from None
     if not isinstance(payload, dict):
         raise _UsageError("config file must hold a flat JSON object")

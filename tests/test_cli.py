@@ -272,6 +272,10 @@ def test_out_of_range_values_are_usage_errors(capsys, monkeypatch, tmp_path, arg
     assert err.startswith("error:")
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="int(str) has no digit limit before Python 3.10.7",
+)
 def test_config_int_too_long_to_read_is_usage_error(capsys, tmp_path):
     # json.load raises a plain ValueError past int(str)'s 4300-digit limit
     path = tmp_path / "config.json"
@@ -494,14 +498,17 @@ def check_table(text):
                 assert math.isfinite(float(cell))
 
 
-def check_contract(command, code, out, err):
-    """Exit 0, 2 or 3, no traceback, and stdout that is empty or parses."""
+def check_contract(command, json_format, code, out, err):
+    """Exit 0, 2 or 3, no traceback, and stdout that is empty or parses.
+
+    A sweep that exits 0 prints a JSON list if `json_format`, else a CSV table.
+    """
     assert code in (0, 2, 3)
     assert "Traceback" not in err
     if code == 2:
         assert out == ""
     elif command == "sweep" and code == 0:
-        if out.startswith("["):
+        if json_format:
             assert isinstance(strict_json(out), list)
         else:
             check_table(out)
@@ -512,7 +519,7 @@ def check_contract(command, code, out, err):
 @settings(max_examples=300, deadline=None)
 @given(ARGV)
 def test_cli_contract_holds_for_any_argv(argv):
-    check_contract(argv[0], *run_isolated(argv))
+    check_contract(argv[0], "json" in argv, *run_isolated(argv))
 
 
 # Config fuzz: JSON objects whose values have the wrong type, are out of
@@ -556,13 +563,14 @@ VALID["sweep"] = dict(
 
 @st.composite
 def config_files(draw):
-    """A command and its --config text: a valid config with up to three keys changed.
+    """A command, its --config text, and whether that text asks for JSON output.
 
-    A chosen key gets a drawn value or is dropped, and an unknown key may be added.
+    The text is a valid config with up to three keys changed: a chosen key gets
+    a drawn value or is dropped, and an unknown key may be added.
     """
     command = draw(st.sampled_from(sorted(CONFIG_KEYS)))
     if draw(st.integers(0, 9)) == 0:  # not an object at all
-        return command, draw(WRONG)
+        return command, draw(WRONG), False
     values = dict(VALID[command])
     for key in draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS[command])), max_size=3)):
         if draw(st.booleans()):
@@ -571,15 +579,16 @@ def config_files(draw):
             values.pop(key, None)
     values |= draw(st.dictionaries(UNKNOWN, VALUE, max_size=1))
     items = draw(st.permutations(list(values.items())))
-    return command, "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in items) + "}"
+    text = "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in items) + "}"
+    return command, text, values.get("format") == '"json"'
 
 
 @settings(max_examples=200, deadline=None)
 @given(config_files())
 def test_cli_contract_holds_for_any_config(config):
-    command, text = config
+    command, text, json_format = config
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "config.json")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-        check_contract(command, *run_isolated([command, "--config", path]))
+        check_contract(command, json_format, *run_isolated([command, "--config", path]))
