@@ -38,7 +38,9 @@ from .gaussian import (
     is_nonclassical,
     state_energy,
 )
-from .sweeps import SweepAxis, SweepSpec, audit_campaign, emit_table, ledger_record, run_sweep
+from .sweeps import (
+    MAX_SAMPLES, SweepAxis, SweepSpec, audit_campaign, emit_table, ledger_record, run_sweep,
+)
 from .thermo import thermal_entropy
 
 
@@ -266,6 +268,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     _require(args, "samples", "seed")
     if args.samples < 1:
         raise _UsageError("--samples must be at least 1")
+    if args.samples > MAX_SAMPLES:
+        raise _UsageError(f"--samples must be at most {MAX_SAMPLES}")
     if args.seed < 0:
         raise _UsageError("--seed must be non-negative")
     summary = audit_campaign(args.samples, args.seed, family=args.family)

@@ -47,12 +47,12 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
 from .errors import InvalidExcess, NotApplicable, OttoForgeError
-from .gaussian import GaussianModeState, delta_n
+from .gaussian import excess_excitation
 from .thermo import (
     invert_occupation,
     occupation,
@@ -63,9 +63,24 @@ from .thermo import (
 _TIE_TOL = 1e-12
 
 
+def dressed_excess(omega2: float, t2: float, r: float, alpha: complex) -> float:
+    """delta_n of the Gibbs state at (omega2, T2) dressed by squeezing r and displacement alpha."""
+    return excess_excitation(occupation(omega2, t2), r, alpha)
+
+
+class _FirstKindBath:
+    """A bath that leaves the working fluid in its Gibbs state dressed by the bath's r and alpha."""
+
+    def excess_for(self, omega2: float, t2: float) -> float:
+        return dressed_excess(omega2, t2, self.r, self.alpha)
+
+
 @dataclass(frozen=True)
-class ThermalBath:
+class ThermalBath(_FirstKindBath):
     """Plain thermal bath at the cycle's T2."""
+
+    r: ClassVar[float] = 0.0
+    alpha: ClassVar[complex] = 0j
 
 
 def finite_displacement(alpha: complex) -> complex:
@@ -77,10 +92,11 @@ def finite_displacement(alpha: complex) -> complex:
 
 
 @dataclass(frozen=True)
-class SqueezedThermalBath:
+class SqueezedThermalBath(_FirstKindBath):
     """Squeezed thermal bath; drives the working fluid to a squeezed thermal state."""
 
     r: float
+    alpha: ClassVar[complex] = 0j
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.r) or self.r < 0.0:
@@ -88,9 +104,10 @@ class SqueezedThermalBath:
 
 
 @dataclass(frozen=True)
-class DisplacedThermalBath:
+class DisplacedThermalBath(_FirstKindBath):
     """Coherently displaced thermal bath; working fluid ends displaced thermal."""
 
+    r: ClassVar[float] = 0.0
     alpha: complex
 
     def __post_init__(self) -> None:
@@ -98,7 +115,7 @@ class DisplacedThermalBath:
 
 
 @dataclass(frozen=True)
-class SqueezedDisplacedBath:
+class SqueezedDisplacedBath(_FirstKindBath):
     """Squeeze plus displacement, in that order."""
 
     r: float
@@ -147,19 +164,6 @@ BathSpec = Union[
     SqueezedDisplacedBath,
     SecondKindBath,
 ]
-
-
-def bath_wf_state(bath: BathSpec, n2: float) -> GaussianModeState:
-    """Working-fluid state after stroke 2 for a first-kind bath."""
-    if isinstance(bath, ThermalBath):
-        return GaussianModeState(n_th=n2)
-    if isinstance(bath, SqueezedThermalBath):
-        return GaussianModeState(n_th=n2, r=bath.r)
-    if isinstance(bath, DisplacedThermalBath):
-        return GaussianModeState(n_th=n2, alpha=bath.alpha)
-    if isinstance(bath, SqueezedDisplacedBath):
-        return GaussianModeState(n_th=n2, r=bath.r, alpha=bath.alpha)
-    raise NotApplicable(f"{type(bath).__name__} does not produce a Gaussian WF state")
 
 
 @dataclass(frozen=True)
@@ -282,8 +286,7 @@ def standard_cycle(config: CycleConfig) -> StrokeLedger:
     The engine condition is n1 <= n2 + delta_n; in the engine regime the
     efficiency is -(W1+W3)/E2 = 1 - omega1/omega2 regardless of delta_n.
     """
-    check_applicable(CycleKind.STANDARD, config.bath)
-    return _single_ledger(CycleKind.STANDARD, config, _first_kind_excess(config))
+    return _single_ledger(CycleKind.STANDARD, config)
 
 
 def modified_cycle(config: CycleConfig) -> StrokeLedger:
@@ -293,8 +296,7 @@ def modified_cycle(config: CycleConfig) -> StrokeLedger:
     there is nothing to undo; the standard ledger is returned, flagged in
     `note`. The undo is treated as exact and cost-free.
     """
-    check_applicable(CycleKind.MODIFIED, config.bath)
-    return _single_ledger(CycleKind.MODIFIED, config, _first_kind_excess(config))
+    return _single_ledger(CycleKind.MODIFIED, config)
 
 
 def second_kind_cycle(config: CycleConfig) -> StrokeLedger:
@@ -304,17 +306,13 @@ def second_kind_cycle(config: CycleConfig) -> StrokeLedger:
     1 - omega1/omega2 obeys the Carnot bound at the real temperature
     T_real = invert_occupation(omega2, n2 + delta_n).
     """
-    check_applicable(CycleKind.SECOND_KIND, config.bath)
+    return _single_ledger(CycleKind.SECOND_KIND, config)
+
+
+def _single_ledger(kind: CycleKind, config: CycleConfig) -> StrokeLedger:
+    """The `kind` ledger of one config: a size-1 kernel call at the bath's delta_n."""
+    check_applicable(kind, config.bath)
     dn = config.bath.excess_for(config.omega2, config.t2)
-    return _single_ledger(CycleKind.SECOND_KIND, config, dn)
-
-
-def _first_kind_excess(config: CycleConfig) -> float:
-    n2 = occupation(config.omega2, config.t2)
-    return delta_n(bath_wf_state(config.bath, n2))
-
-
-def _single_ledger(kind: CycleKind, config: CycleConfig, dn: float) -> StrokeLedger:
     columns = ledger_columns(kind, config.omega1, config.omega2, config.t1, config.t2, dn)
     return columns.ledger(0)
 
@@ -468,12 +466,12 @@ class LedgerColumns:
                 "law_residual", "q2", "q4", "omega2", "t1", "t2", "n1", "n2", "dn")),
         )
 
-    def hot_temperatures(self) -> np.ndarray:
-        """The hot temperature of each row's Clausius sum (see LawReport)."""
-        if self.kind is not CycleKind.SECOND_KIND:
-            return self.t2
-        hot = functools.partial(_hot_temperature, True)
-        return rowwise(hot, self.errors, self.omega2, self.t2, self.n2, self.dn)
+    def excitation_temperatures(self) -> np.ndarray:
+        """invert_occupation(omega2, n2 + dn) per row; a row that fails here gets the error.
+
+        That is Theta for a first-kind bath and T_real for a second-kind one.
+        """
+        return rowwise(invert_occupation, self.errors, self.omega2, self.n2 + self.dn)
 
     def clausius_sums(self, hot: np.ndarray) -> np.ndarray:
         """Q2/T_hot + Q4/T1 per row, NaN where a zero temperature skips the check."""
@@ -725,11 +723,6 @@ def audit_laws(ledger: StrokeLedger, config: CycleConfig) -> LawReport:
     )
 
 
-def _hot_temperature(second_kind: bool, omega2: float, t2: float, n2: float, dn: float) -> float:
-    """T2 for a first-kind bath; for a second-kind one T_real, where the fluid holds n2 + dn."""
-    return invert_occupation(omega2, n2 + dn) if second_kind else t2
-
-
 def _clausius_sums(q2, q4, hot, t1) -> np.ndarray:
     """Q2/T_hot + Q4/T1, NaN where a zero temperature skips the check."""
     q2, q4, hot, t1 = map(np.asarray, (q2, q4, hot, t1))
@@ -741,7 +734,8 @@ def _law_report(
     second_kind: bool, residual: float, q2: float, q4: float,
     omega2: float, t1: float, t2: float, n1: float, n2: float, dn: float,
 ) -> LawReport:
-    hot = _hot_temperature(second_kind, omega2, t2, n2, dn)
+    # T2 for a first-kind bath; for a second-kind one T_real, where the fluid holds n2 + dn
+    hot = invert_occupation(omega2, n2 + dn) if second_kind else t2
     passive_c = n2 + dn if second_kind else n2
     clausius = _clausius_sums(q2, q4, hot, t1).item()
     skipped = math.isnan(clausius)

@@ -46,14 +46,14 @@ from .cycles import (
     SecondKindBath,
     SqueezedThermalBath,
     StrokeLedger,
-    bath_wf_state,
     check_applicable,
+    dressed_excess,
     finite_displacement,
     ledger_columns,
     rowwise,
 )
-from .gaussian import delta_n, excess_excitation
-from .thermo import fictitious_temperature, occupation
+from .gaussian import excess_excitation
+from .thermo import occupation
 
 TABLE_COLUMNS = (
     "axis",
@@ -186,30 +186,29 @@ class SweepSpec:
     def _excess(self, grid: np.ndarray, errors: np.ndarray) -> np.ndarray:
         """The bath's delta_n at each grid point; a row whose bath fails gets its error."""
         base, axis, bath = self.base, self.axis, self.base.bath
-        if isinstance(bath, SecondKindBath):
-            if axis is SweepAxis.DELTA_N:
-                return grid
+        if isinstance(bath, SecondKindBath) and axis is SweepAxis.DELTA_N:
+            return grid
+        if axis in (SweepAxis.FREQUENCY_RATIO, SweepAxis.COLD_TEMPERATURE):
             return rowwise(bath.excess_for, errors, base.omega2, base.t2)
-        n2 = occupation(base.omega2, base.t2)
+        # the axis moves the bath: the Gibbs state at n2 is dressed anew at each point
+        n2 = rowwise(occupation, errors, base.omega2, base.t2)
         if axis is SweepAxis.SQUEEZE_R:
-            def excess(r):
+            def excess(n2, r):
                 return excess_excitation(n2, r, 0j)
         elif axis is SweepAxis.DISPLACEMENT_MAG:
             phase = bath.alpha / abs(bath.alpha) if bath.alpha else 1.0
 
-            def excess(value):
+            def excess(n2, value):
                 return excess_excitation(n2, 0.0, finite_displacement(value * phase))
-        elif axis is SweepAxis.DELTA_N and isinstance(bath, SqueezedThermalBath):
-            # re-solve the bath knob so the stroke-2 excess equals the axis value
-            def excess(value):
+        elif isinstance(bath, SqueezedThermalBath):
+            # delta-n: re-solve the bath knob so the stroke-2 excess equals the axis value
+            def excess(n2, value):
                 r = math.asinh(math.sqrt(value / (2.0 * n2 + 1.0)))
                 return excess_excitation(n2, r, 0j)
-        elif axis is SweepAxis.DELTA_N:
-            def excess(value):
-                return excess_excitation(n2, 0.0, finite_displacement(math.sqrt(value)))
         else:
-            return rowwise(lambda: delta_n(bath_wf_state(bath, n2)), errors)
-        return rowwise(excess, errors, grid)
+            def excess(n2, value):
+                return excess_excitation(n2, 0.0, finite_displacement(math.sqrt(value)))
+        return rowwise(excess, errors, n2, grid)
 
 
 class SweepRow:
@@ -398,6 +397,10 @@ _INEQUALITY_TOL = 1e-12
 # Samples drawn and evaluated at a time: bounds the memory of a campaign.
 _AUDIT_CHUNK = 2048
 
+# The largest campaign an audit accepts: about 8 minutes at 0.04-0.05 s per
+# 10^4 samples.
+MAX_SAMPLES = 10**8
+
 
 # One drawn configuration: r and alpha dress a first-kind bath (thermal,
 # squeezed, displaced, or both); excess is a second-kind bath's delta_n.
@@ -509,21 +512,17 @@ def _draw_chunks(rng: np.random.Generator, family: str, sizes: Iterable[int]):
         yield drawn
 
 
-def _raise_first(errors: np.ndarray) -> None:
-    failed = np.flatnonzero(np.not_equal(errors, None))
-    if failed.size:
-        raise errors[failed[0]]
-
-
 def _tally(
     counts: dict, columns: LedgerColumns, hot: np.ndarray, value: np.ndarray, bound: np.ndarray
 ) -> None:
-    """Add the ledgers to AuditSummary's counters.
+    """Add the ledgers to AuditSummary's counters; raise the first failed row's error.
 
     `value` (eta or COP) is checked against `bound` where it is not NaN;
     `hot` is each row's hot temperature for the Clausius sum.
     """
-    _raise_first(columns.errors)
+    failed = np.flatnonzero(columns.failed)
+    if failed.size:
+        raise columns.errors[failed[0]]
     if not len(columns):
         return
     residual = columns.law_residual
@@ -555,6 +554,8 @@ def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSumma
     samples = int(samples)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     if family not in _AUDIT_FAMILIES:
         raise ValueError(f"family must be one of {_AUDIT_FAMILIES}, got {family!r}")
 
@@ -571,23 +572,21 @@ def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSumma
     return AuditSummary(samples=samples, seed=int(seed), family=family, **counts)
 
 
+def _engine_bounds(columns: LedgerColumns, hot: np.ndarray) -> np.ndarray:
+    """1 - T1/hot on the engine rows where hot > 0, NaN elsewhere."""
+    bounded = ~np.isnan(columns.eta) & (hot > 0.0)
+    return 1.0 - np.divide(columns.t1, hot, out=np.full(len(hot), np.nan), where=bounded)
+
+
 def _audit_first_kind(drawn: np.ndarray, counts: dict) -> None:
     omega1, omega2, t1, t2 = (drawn[name] for name in ("omega1", "omega2", "t1", "t2"))
     errors = np.full(len(drawn), None, dtype=object)
-    n2 = rowwise(occupation, errors, omega2, t2)
-    dn = rowwise(excess_excitation, errors, n2, drawn["r"], drawn["alpha"])
+    dn = rowwise(dressed_excess, errors, omega2, t2, drawn["r"], drawn["alpha"])
     ledgers = ledger_columns(CycleKind.STANDARD, omega1, omega2, t1, t2, dn, errors)
     # the efficiency bound 1 - T1/Theta at the fictitious excitation parameter
-    bounded = ~np.isnan(ledgers.eta) & (n2 + dn > 0.0)
-    theta_errors = np.full(np.count_nonzero(bounded), None, dtype=object)
-    theta = np.full(len(drawn), np.nan)
-    theta[bounded] = rowwise(
-        fictitious_temperature, theta_errors, omega2[bounded], n2[bounded], dn[bounded]
-    )
-    _raise_first(theta_errors)
-    bound = 1.0 - np.divide(t1, theta, out=np.full(len(t1), np.nan), where=theta > 0.0)
+    bound = _engine_bounds(ledgers, ledgers.excitation_temperatures())
     _tally(counts, ledgers, t2, ledgers.eta, bound)
-    del ledgers, theta, bound
+    del ledgers, bound
 
     nonpassive = dn > 0.0
     t1, t2 = t1[nonpassive], t2[nonpassive]
@@ -600,11 +599,10 @@ def _audit_first_kind(drawn: np.ndarray, counts: dict) -> None:
 
 
 def _audit_second_kind(drawn: np.ndarray, counts: dict) -> None:
-    t1 = drawn["t1"]
     ledgers = ledger_columns(
-        CycleKind.SECOND_KIND, drawn["omega1"], drawn["omega2"], t1, drawn["t2"], drawn["excess"]
+        CycleKind.SECOND_KIND, drawn["omega1"], drawn["omega2"], drawn["t1"], drawn["t2"],
+        drawn["excess"],
     )
-    hot = ledgers.hot_temperatures()
-    bounded = ~np.isnan(ledgers.eta) & (hot > 0.0)
-    bound = 1.0 - np.divide(t1, hot, out=np.full(len(t1), np.nan), where=bounded)
-    _tally(counts, ledgers, hot, ledgers.eta, bound)
+    # the Carnot bound at the real temperature, which is also the Clausius sum's hot one
+    hot = ledgers.excitation_temperatures()
+    _tally(counts, ledgers, hot, ledgers.eta, _engine_bounds(ledgers, hot))

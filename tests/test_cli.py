@@ -12,7 +12,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import otto_forge
@@ -20,6 +20,7 @@ from otto_forge.cli import main
 from otto_forge.sweeps import TABLE_COLUMNS
 
 FIG5 = ["--omega1", "7", "--omega2", "20", "--t1", "2", "--t2", "10"]
+INFINITE_N2 = ["--omega1", "1e-10", "--omega2", "1e-10", "--t1", "0", "--t2", "1e308"]
 
 
 def run_cli(capsys, *argv):
@@ -254,6 +255,7 @@ class TestAuditCommand:
         ("sweep", *FIG5, "--bath", "thermal", "--axis", "frequency-ratio",
          "--start", "0.1", "--stop", "1", "--steps", "3", {"out": [1]}),
         ("cycle", *FIG5, {"bath": {"squeezed": 0.5}}),
+        ("audit", "--samples", "1000000000000", "--seed", "1"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
@@ -316,6 +318,13 @@ def strict_json(text):
     [
         ("cycle", *FIG5, "--bath", "second-kind:1e308", "--cycle", "second-kind"),
         ("ergotropy", "--nth", "1e308", "--omega", "1"),
+        # occupation(1e-10, 1e308) = 1/expm1(1e-318), a subnormal, overflows to inf
+        ("cycle", *INFINITE_N2, "--bath", "thermal"),
+        *(
+            ("cycle", *INFINITE_N2, "--bath", bath, "--cycle", cycle)
+            for bath in ("squeezed:0.5", "displaced:1,0.5", "squeezed:0.5+displaced:1,0.5")
+            for cycle in ("standard", "modified")
+        ),
     ],
 )
 def test_non_finite_result_is_physics_error(capsys, argv):
@@ -431,11 +440,12 @@ class TestUsage:
         assert result.returncode == 0, result.stderr
 
 
-# CLI fuzz: argv drawn over every command but the oracle, with values that
-# include zero, negatives, the double range's edge, nan and inf.
-NUMBER = st.sampled_from(
-    ["0", "-1", "1e308", "-1e308", "nan", "inf", "-inf", "1e-300", "0.5", "2", "7", "10", "20"]
-)
+# CLI fuzz: argv drawn over every command but the oracle (fuzzed below), with
+# values that include zero, negatives, the double range's edge, nan and inf.
+NUMBER = st.sampled_from([
+    "0", "-1", "1e308", "-1e308", "nan", "inf", "-inf", "1e-300", "1e-10", "0.5", "2", "7",
+    "10", "20",
+])
 INTEGER = st.integers(-2, 50).map(str) | st.sampled_from(["1e3", "abc", "nan"])
 BATH = st.one_of(
     st.just("thermal"),
@@ -520,6 +530,37 @@ def check_contract(command, json_format, code, out, err):
 @given(ARGV)
 def test_cli_contract_holds_for_any_argv(argv):
     check_contract(argv[0], "json" in argv, *run_isolated(argv))
+
+
+# Oracle fuzz: state and tolerance values that include zero, negatives, the
+# double range's edge and nan. A state the oracle accepts must start its cutoff
+# search, at the tail law's (V/2) ln(1/tol), at most 256 levels up, so every
+# example runs fast.
+ORACLE_STATE = st.sampled_from(["0", "1e-300", "0.1", "0.5", "1", "2", "1e308", "nan", "-1"])
+ORACLE_OMEGA = st.sampled_from(["0", "1e-300", "0.5", "2", "20", "1e308", "nan", "-1"])
+ORACLE_TOL = st.sampled_from(["0", "1e-300", "1e-12", "1e-6", "1e-3", "0.5", "1", "2", "nan"])
+
+
+@st.composite
+def oracle_argv(draw):
+    texts = {flag: draw(ORACLE_STATE) for flag in ("nth", "r", "alpha-re", "alpha-im")}
+    texts |= {"omega": draw(ORACLE_OMEGA), "tail-tol": draw(ORACLE_TOL)}
+    nth, r, re, im, omega, tol = map(float, texts.values())
+    state = all(map(math.isfinite, (nth, r, re, im))) and nth >= 0.0 and r >= 0.0
+    if state and math.isfinite(omega) and omega > 0.0 and 0.0 < tol < 1.0:
+        try:
+            variance = (2.0 * nth + 1.0) * math.exp(2.0 * r) + 2.0 * abs(complex(re, im)) ** 2
+        except OverflowError:
+            variance = math.inf
+        assume(variance / 2.0 * math.log(1.0 / tol) <= 256)
+    flags = (item for flag, text in texts.items() for item in (f"--{flag}", text))
+    return ["ergotropy", "--oracle", *flags]
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_argv())
+def test_cli_contract_holds_for_any_oracle_argv(argv):
+    check_contract(argv[0], False, *run_isolated(argv))
 
 
 # Config fuzz: JSON objects whose values have the wrong type, are out of

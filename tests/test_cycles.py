@@ -41,7 +41,6 @@ from otto_forge.cycles import (
     APPLICABLE_BATHS,
     CYCLE_EVALUATORS,
     ROW_ERRORS,
-    bath_wf_state,
     ledger_columns,
 )
 
@@ -479,10 +478,7 @@ class TestColumnKernel:
     def test_rows_match_size_one_evaluations(self, data):
         kind = data.draw(st.sampled_from(list(CycleKind)))
         configs = data.draw(st.lists(self.configs(kind), min_size=1, max_size=12))
-        if kind is CycleKind.SECOND_KIND:
-            dn = [c.bath.excess_for(c.omega2, c.t2) for c in configs]
-        else:
-            dn = [delta_n(bath_wf_state(c.bath, occupation(c.omega2, c.t2))) for c in configs]
+        dn = [c.bath.excess_for(c.omega2, c.t2) for c in configs]
         columns = ledger_columns(
             kind,
             *([getattr(c, name) for c in configs] for name in ("omega1", "omega2", "t1", "t2")),

@@ -28,8 +28,9 @@ from otto_forge import (
     occupation,
     run_sweep,
 )
+from otto_forge.cli import main
 from otto_forge.cycles import CYCLE_EVALUATORS
-from otto_forge.sweeps import _DRAW, TABLE_COLUMNS, _draw_chunks, row_record
+from otto_forge.sweeps import _DRAW, MAX_SAMPLES, TABLE_COLUMNS, _draw_chunks, row_record
 
 FIG5_BASE = CycleConfig(7, 20, 2, 10, SqueezedThermalBath(0.5))
 
@@ -250,6 +251,33 @@ class TestFailedRows:
         }
 
 
+    # occupation(1e-300, 1e308) divides by expm1(1e-608) = 0
+    @pytest.mark.parametrize("cycle", ["standard", "modified"])
+    @pytest.mark.parametrize(
+        "axis, bath",
+        [
+            ("frequency-ratio", "squeezed:0.5"),
+            ("cold-temperature", "displaced:1,0.5"),
+            ("squeeze-r", "squeezed:0.5"),
+            ("displacement", "displaced:1,0.5"),
+            ("delta-n", "squeezed:0.5"),
+            ("delta-n", "displaced:1,0.5"),
+        ],
+    )
+    def test_failing_base_occupation_is_every_row_error(self, capsys, axis, bath, cycle):
+        code = main([
+            "sweep", "--omega1", "1e-300", "--omega2", "1e-300", "--t1", "0", "--t2", "1e308",
+            "--bath", bath, "--cycle", cycle, "--axis", axis,
+            "--start", "0.5", "--stop", "1", "--steps", "5",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out, newline="")))
+        assert len(rows) == 5
+        for row in rows:
+            assert row["regime"] == "error:ZeroDivisionError: float division by zero"
+
+
 class TestEmitTable:
     def test_single_row_csv_has_two_lines(self):
         spec = fig5_delta_n_spec(steps=2)
@@ -347,6 +375,8 @@ class TestAuditCampaign:
             audit_campaign(10, seed=1, family="third-kind")
         with pytest.raises(ValueError):
             audit_campaign(10, seed=-1)
+        with pytest.raises(ValueError, match="at most"):
+            audit_campaign(MAX_SAMPLES + 1, seed=1)
 
 
 def reference_draw(rng, family):
