@@ -39,7 +39,7 @@ from .gaussian import (
     state_energy,
 )
 from .sweeps import (
-    MAX_SAMPLES, SweepAxis, SweepSpec, audit_campaign, emit_table, ledger_record, run_sweep,
+    MAX_SAMPLES, SweepAxis, SweepSpec, audit_campaign, ledger_record, write_sweep,
 )
 from .thermo import thermal_entropy
 
@@ -143,29 +143,33 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise _UsageError(f"missing required argument(s): {flags}")
 
 
-def _print_json(payload: dict) -> None:
-    """Print the payload as strict JSON; a non-finite number is a numerics error."""
+def _check_finite(payload: dict) -> None:
+    """Raise OverflowError naming the payload's non-finite numbers, if it has any."""
     bad = [key for key, value in payload.items()
            if isinstance(value, float) and not math.isfinite(value)]
     if bad:
         raise OverflowError(f"non-finite result: {', '.join(bad)}")
+
+
+def _print_json(payload: dict) -> None:
+    """Print the payload as strict JSON; a non-finite number is a numerics error."""
+    _check_finite(payload)
     print(json.dumps(payload, allow_nan=False))
+
+
+def _base_config(args: argparse.Namespace) -> CycleConfig:
+    """The cycle configuration of the base flags; an invalid one is a usage error."""
+    try:
+        return CycleConfig(args.omega1, args.omega2, args.t1, args.t2, _parse_bath(str(args.bath)))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _cmd_cycle(args: argparse.Namespace) -> int:
     _merge_config(args)
     args.cycle = args.cycle or "standard"
     _require(args, "omega1", "omega2", "t1", "t2", "bath")
-    try:
-        config = CycleConfig(
-            omega1=args.omega1,
-            omega2=args.omega2,
-            t1=args.t1,
-            t2=args.t2,
-            bath=_parse_bath(str(args.bath)),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    config = _base_config(args)
     ledger = CYCLE_EVALUATORS[CycleKind(args.cycle)](config)
     law = audit_laws(ledger, config)
     record = ledger_record(ledger, law) | {
@@ -185,15 +189,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     args.format = args.format or "csv"
     _require(args, "omega1", "omega2", "t1", "t2", "bath", "axis", "start", "stop", "steps")
     try:
-        base = CycleConfig(
-            omega1=args.omega1,
-            omega2=args.omega2,
-            t1=args.t1,
-            t2=args.t2,
-            bath=_parse_bath(str(args.bath)),
-        )
         spec = SweepSpec(
-            base=base,
+            base=_base_config(args),
             axis=SweepAxis(args.axis),
             start=args.start,
             stop=args.stop,
@@ -202,16 +199,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    table = emit_table(run_sweep(spec), format=args.format)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "wb") as handle:
-                handle.write(table)
-        except OSError as exc:
-            raise _UsageError(f"cannot write {args.out!r}: {exc}") from None
-    else:
-        sys.stdout.buffer.write(table)
-        sys.stdout.buffer.flush()
+                write_sweep(spec, args.format, handle.write)
+        else:  # a reader that stops early, as `| head` does, fails a write with EPIPE
+            write_sweep(spec, args.format, sys.stdout.buffer.write)
+            sys.stdout.buffer.flush()
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.out or 'stdout'!r}: {exc}") from None
     return 0
 
 
@@ -243,6 +239,7 @@ def _cmd_ergotropy(args: argparse.Namespace) -> int:
         "nonclassical": is_nonclassical(state),
     }
     if args.oracle:
+        _check_finite(payload)  # an overflowed analytic result leaves the oracle nothing to check
         cutoff = choose_cutoff(state, tail_tol)
         density = build_fock_density(state, cutoff, tail_tol)
         oracle_w = ergotropy_of_density(density, omega)

@@ -46,7 +46,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Union
 
 import numpy as np
@@ -425,12 +425,6 @@ class LedgerColumns:
     @property
     def failed(self) -> np.ndarray:
         return np.not_equal(self.errors, None)
-
-    def take(self, index) -> LedgerColumns:
-        """The rows selected by an index, slice or mask, as columns."""
-        return replace(self, **{
-            f.name: getattr(self, f.name)[index] for f in fields(self) if f.name != "kind"
-        })
 
     def regime_cells(self, cell: Callable[[str], str]) -> list[str]:
         """cell(regime tag value) of each row, one call per tag (meaningless for failed rows)."""

@@ -11,13 +11,14 @@ directly, while for squeezed or displaced baths the bath parameter (r or
 |alpha|) is re-solved at every grid point so that the stroke-2 excess equals
 the axis value. That makes efficiency-versus-excess sweeps bath-agnostic.
 
-Sweeps and audits run on columns. A sweep builds the omega1, T1 and delta_n
-columns of its axis and makes one call of the ledger kernel,
-`cycles.ledger_columns`; `emit_table` formats CSV and JSON straight from the
-resulting columns, a few thousand rows at a time. An audit decodes its
-samples in arrays from the raw words of its generator, bit for bit the
-values that sequential `Generator` calls give, evaluates each family with one
-kernel call and tallies its checks as array reductions. Every
+Sweeps and audits run on columns. `write_sweep` cuts a sweep's grid into
+blocks of 4096 rows; for each block it builds the omega1, T1 and delta_n
+columns of its axis, makes one call of the ledger kernel,
+`cycles.ledger_columns`, and formats and writes CSV or JSON straight from
+the resulting columns, so its memory does not grow with the steps. An audit
+decodes its samples in arrays from the raw words of its generator, bit for
+bit the values that sequential `Generator` calls give, evaluates each family
+with one kernel call and tallies its checks as array reductions. Every
 transcendental, power and complex modulus (delta_n, the occupations and
 temperatures) is a per-element `math` call, that is libm, in the scalar
 path's expression order; numpy ufuncs do only + - * /, comparisons, abs, max
@@ -30,7 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -100,8 +101,8 @@ class SweepAxis(Enum):
     COLD_TEMPERATURE = "cold-temperature"
 
 
-# The largest grid a sweep accepts: its columns take about 200 bytes a row,
-# and its table about as much again.
+# The largest grid a sweep accepts. It bounds run time, not memory: a sweep
+# holds its grid and one block of rows at a time.
 MAX_STEPS = 10**7
 
 
@@ -170,10 +171,9 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
 
-    def columns(self) -> LedgerColumns:
-        """The ledger columns at every grid point, from one kernel call."""
+    def columns(self, grid: np.ndarray) -> LedgerColumns:
+        """The ledger columns at the axis values `grid`, from one kernel call."""
         base = self.base
-        grid = self.grid()
         errors = np.full(len(grid), None, dtype=object)
         omega1, t1 = base.omega1, base.t1
         if self.axis is SweepAxis.FREQUENCY_RATIO:
@@ -242,7 +242,7 @@ class SweepRow:
 class SweepTable(Sequence):
     """A sweep's rows held as columns: the axis grid and the ledger columns.
 
-    An integer index gives a SweepRow, a slice gives a SweepTable.
+    An integer index gives a SweepRow.
     """
 
     def __init__(self, axis: np.ndarray, columns: LedgerColumns) -> None:
@@ -252,25 +252,15 @@ class SweepTable(Sequence):
     def __len__(self) -> int:
         return len(self.axis)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SweepTable(self.axis[index], self.columns.take(index))
+    def __getitem__(self, index: int) -> SweepRow:
         i = range(len(self.axis))[index]
         return SweepRow(self.axis[i].item(), self.columns, i)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the sweep, one row per grid point, in axis order."""
-    return SweepTable(spec.grid(), spec.columns())
-
-
-def row_record(row: SweepRow) -> dict:
-    """Flatten a sweep row to the stable table schema."""
-    if row.error is not None:
-        return dict.fromkeys(TABLE_COLUMNS) | {
-            "axis": row.axis_value, "regime": f"error:{row.error}"
-        }
-    return {"axis": row.axis_value} | ledger_record(row.ledger, row.law)
+    grid = spec.grid()
+    return SweepTable(grid, spec.columns(grid))
 
 
 # Columns that may be undefined (empty in CSV, null in JSON), and the row
@@ -288,8 +278,8 @@ _JSON_ERROR = "{" + ", ".join(
     f'"{c}": ' + {"axis": "%r", "regime": "%s"}.get(c, "null") for c in TABLE_COLUMNS
 ) + "}"
 
-# Rows formatted per piece of a table: keeps the strings of one piece small.
-_CHUNK_ROWS = 4096
+# Rows evaluated, formatted and written at a time: bounds a sweep's memory.
+_BLOCK_ROWS = 4096
 
 
 def _nullable_cells(column: np.ndarray, number_format: str, null: str) -> list[str]:
@@ -339,6 +329,15 @@ def _json_piece(table: SweepTable) -> str:
     return ", ".join(_format_rows(table, cells, _JSON_ROW, _JSON_ERROR, strict_json))
 
 
+def _table_format(format: str):
+    """The block formatter, head, separator and tail of a table format."""
+    if format == "csv":
+        return _csv_piece, ",".join(TABLE_COLUMNS) + "\r\n", "", ""
+    if format == "json":
+        return _json_piece, "[", ", ", "]"
+    raise ValueError(f"unknown table format {format!r} (expected 'csv' or 'json')")
+
+
 def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
     """Serialise sweep rows as RFC-4180 CSV or JSON (one object per row).
 
@@ -348,18 +347,23 @@ def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
     """
     if not len(rows):
         raise ValueError("emit_table needs at least one row")
-    if format not in ("csv", "json"):
-        raise ValueError(f"unknown table format {format!r} (expected 'csv' or 'json')")
-    if format == "csv":
-        piece, head, separator, tail = _csv_piece, ",".join(TABLE_COLUMNS) + "\r\n", "", ""
-    else:
-        piece, head, separator, tail = _json_piece, "[", ", ", "]"
-    parts = [head.encode("utf-8")]
-    for i in range(0, len(rows), _CHUNK_ROWS):
-        parts.append(piece(rows[i:i + _CHUNK_ROWS]).encode("utf-8"))
-        parts.append(separator.encode("utf-8"))
-    parts[-1] = tail.encode("utf-8")
-    return b"".join(parts)
+    piece, head, _, tail = _table_format(format)
+    return (head + piece(rows) + tail).encode("utf-8")
+
+
+def write_sweep(spec: SweepSpec, format: str, write: Callable[[bytes], object]) -> None:
+    """Write the table of `emit_table(run_sweep(spec), format)` through `write`.
+
+    Each block of the grid is evaluated, formatted and written before the next.
+    """
+    piece, head, separator, tail = _table_format(format)
+    grid = spec.grid()
+    write(head.encode("utf-8"))
+    for start in range(0, len(grid), _BLOCK_ROWS):
+        axis = grid[start:start + _BLOCK_ROWS]
+        text = piece(SweepTable(axis, spec.columns(axis)))
+        write(((separator if start else "") + text).encode("utf-8"))
+    write(tail.encode("utf-8"))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
@@ -287,14 +288,38 @@ def test_config_int_too_long_to_read_is_usage_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_unwritable_out_file_is_usage_error(capsys, tmp_path):
-    out_path = tmp_path / "missing" / "table.csv"
+@pytest.mark.parametrize("target", ["missing-directory", "/dev/full"])
+def test_unwritable_out_file_is_usage_error(capsys, tmp_path, target):
+    # /dev/full opens but refuses every write that reaches it; the table is
+    # over two blocks, so the failing write comes after the file is open
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full on this platform")
+    out_path = target if target == "/dev/full" else tmp_path / "missing" / "table.csv"
     code, out, err = run_cli(
         capsys, "sweep", *FIG5, "--bath", "thermal", "--axis", "frequency-ratio",
-        "--start", "0.1", "--stop", "1", "--steps", "3", "--out", str(out_path),
+        "--start", "0.1", "--stop", "1", "--steps", "10000", "--out", str(out_path),
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+
+
+def test_closed_stdout_is_usage_error():
+    # the pipe's read end is closed before the first block is written, as when
+    # a reader such as `head` has stopped
+    src = pathlib.Path(otto_forge.__file__).parents[1]
+    argv = ["sweep", *FIG5, "--bath", "thermal", "--axis", "frequency-ratio",
+            "--start", "0.1", "--stop", "1", "--steps", "10000"]
+    with subprocess.Popen(
+        [sys.executable, "-c", "from otto_forge.cli import run; run()", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
+    assert err.startswith("error: cannot write 'stdout'")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("bath", ["squeezed:1e308", "displaced:1e200,0"])
@@ -332,6 +357,18 @@ def test_non_finite_result_is_physics_error(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("physics error: OverflowError")
+
+
+def test_overflowed_analytic_result_skips_the_oracle(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "ergotropy", "--nth", "0.5", "--r", "1", "--alpha-re", "2",
+            "--omega", "1e308", "--oracle",
+        )
+    assert (code, out) == (3, "")
+    assert err == "physics error: OverflowError: non-finite result: energy, ergotropy\n"
+    assert [str(w.message) for w in caught] == []
 
 
 def test_non_finite_sweep_rows_are_flagged(capsys):

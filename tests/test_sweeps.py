@@ -29,10 +29,28 @@ from otto_forge import (
     run_sweep,
 )
 from otto_forge.cli import main
-from otto_forge.cycles import CYCLE_EVALUATORS
-from otto_forge.sweeps import _DRAW, MAX_SAMPLES, TABLE_COLUMNS, _draw_chunks, row_record
+from otto_forge.cycles import CYCLE_EVALUATORS, ledger_columns
+from otto_forge.sweeps import (
+    _BLOCK_ROWS,
+    _DRAW,
+    MAX_SAMPLES,
+    TABLE_COLUMNS,
+    SweepTable,
+    _draw_chunks,
+    ledger_record,
+    write_sweep,
+)
 
 FIG5_BASE = CycleConfig(7, 20, 2, 10, SqueezedThermalBath(0.5))
+
+
+def row_record(row):
+    """A sweep row flattened to the table schema, built from its ledger objects."""
+    if row.error is not None:
+        return dict.fromkeys(TABLE_COLUMNS) | {
+            "axis": row.axis_value, "regime": f"error:{row.error}"
+        }
+    return {"axis": row.axis_value} | ledger_record(row.ledger, row.law)
 
 
 def fig5_delta_n_spec(steps=101):
@@ -281,7 +299,8 @@ class TestFailedRows:
 class TestEmitTable:
     def test_single_row_csv_has_two_lines(self):
         spec = fig5_delta_n_spec(steps=2)
-        rows = run_sweep(spec)[:1]
+        grid = spec.grid()[:1]
+        rows = SweepTable(grid, spec.columns(grid))
         payload = emit_table(rows, format="csv")
         lines = payload.decode().split("\r\n")
         assert lines[-1] == ""  # trailing CRLF
@@ -336,6 +355,44 @@ class TestEmitTable:
         assert emit_table(rows, format="csv").decode() == buffer.getvalue()
         expected = "[" + ", ".join(json.dumps(r, allow_nan=False) for r in records) + "]"
         assert emit_table(rows, format="json").decode() == expected
+
+    # a little over two blocks: the modified squeeze-r sweep fails from row
+    # 1053 to the end, across both block boundaries, first where W2 overflows
+    # and then where the bath does (two messages, one holding a comma); the
+    # second-kind delta-n sweep has InvalidExcess rows that end mid-block
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(FIG5_BASE, SweepAxis.SQUEEZE_R, 300.0, 720.0, 2 * _BLOCK_ROWS + 3,
+                  CycleKind.MODIFIED),
+        SweepSpec(CycleConfig(7, 20, 2, 10, SecondKindBath(excess=0.0)), SweepAxis.DELTA_N,
+                  -1.0, 1.0, 2 * _BLOCK_ROWS + 3, CycleKind.SECOND_KIND),
+    ], ids=["squeeze-r", "delta-n"])
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_blocks_write_the_whole_table(self, spec, format):
+        table = run_sweep(spec)
+        failed = [row.error is not None for row in table]
+        assert any(failed) and not all(failed)
+        chunks = []
+        write_sweep(spec, format, chunks.append)
+        assert len(chunks) > 3
+        assert b"".join(chunks) == emit_table(table, format=format)
+
+    def test_cli_sweep_passes_at_most_one_block_per_kernel_call(self, capsys, monkeypatch):
+        calls = []
+
+        def recording(kind, omega1, omega2, t1, t2, dn, errors=None):
+            calls.append(len(dn))
+            return ledger_columns(kind, omega1, omega2, t1, t2, dn, errors)
+
+        monkeypatch.setattr("otto_forge.sweeps.ledger_columns", recording)
+        steps = 2 * _BLOCK_ROWS + 5
+        code = main([
+            "sweep", "--omega1", "7", "--omega2", "20", "--t1", "2", "--t2", "10",
+            "--bath", "squeezed:0.5", "--axis", "frequency-ratio",
+            "--start", "0.1", "--stop", "1", "--steps", str(steps),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.count("\r\n") == steps + 1
+        assert calls == [_BLOCK_ROWS, _BLOCK_ROWS, 5]
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
