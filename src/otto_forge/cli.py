@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -157,19 +158,20 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, allow_nan=False))
 
 
-def _base_config(args: argparse.Namespace) -> CycleConfig:
-    """The cycle configuration of the base flags; an invalid one is a usage error."""
-    try:
-        return CycleConfig(args.omega1, args.omega2, args.t1, args.t2, _parse_bath(str(args.bath)))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _cmd_cycle(args: argparse.Namespace) -> int:
     _merge_config(args)
     args.cycle = args.cycle or "standard"
     _require(args, "omega1", "omega2", "t1", "t2", "bath")
-    config = _base_config(args)
+    try:
+        config = CycleConfig(
+            omega1=args.omega1,
+            omega2=args.omega2,
+            t1=args.t1,
+            t2=args.t2,
+            bath=_parse_bath(str(args.bath)),
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     ledger = CYCLE_EVALUATORS[CycleKind(args.cycle)](config)
     law = audit_laws(ledger, config)
     record = ledger_record(ledger, law) | {
@@ -189,8 +191,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     args.format = args.format or "csv"
     _require(args, "omega1", "omega2", "t1", "t2", "bath", "axis", "start", "stop", "steps")
     try:
+        base = CycleConfig(
+            omega1=args.omega1,
+            omega2=args.omega2,
+            t1=args.t1,
+            t2=args.t2,
+            bath=_parse_bath(str(args.bath)),
+        )
         spec = SweepSpec(
-            base=_base_config(args),
+            base=base,
             axis=SweepAxis(args.axis),
             start=args.start,
             stop=args.stop,
@@ -199,14 +208,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    out = None
+
+    def write(data: bytes) -> None:
+        nonlocal out
+        if out is None:  # opened at the first block: a sweep that fails to evaluate writes nothing
+            out = open(args.out, "wb") if args.out else sys.stdout.buffer
+        out.write(data)
+
     try:
-        if args.out:
-            with open(args.out, "wb") as handle:
-                write_sweep(spec, args.format, handle.write)
-        else:  # a reader that stops early, as `| head` does, fails a write with EPIPE
-            write_sweep(spec, args.format, sys.stdout.buffer.write)
-            sys.stdout.buffer.flush()
+        try:
+            write_sweep(spec, args.format, write)
+        finally:  # a reader that stops early, as `| head` does, fails a write with EPIPE
+            if out is not None:
+                out.close() if args.out else out.flush()
     except OSError as exc:
+        if not args.out:  # the unsent rest goes to /dev/null, not to a failed flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise _UsageError(f"cannot write {args.out or 'stdout'!r}: {exc}") from None
     return 0
 

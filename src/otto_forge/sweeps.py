@@ -343,7 +343,8 @@ def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
 
     CSV floats carry 17 significant digits, enough to round-trip doubles
     exactly; the JSON form round-trips bit-exactly through json.loads. Only
-    error-row regime cells can need CSV quoting.
+    error-row regime cells can need CSV quoting. The table is one block, so
+    memory grows with its rows; `write_sweep` writes the same bytes in blocks.
     """
     if not len(rows):
         raise ValueError("emit_table needs at least one row")
@@ -354,16 +355,16 @@ def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
 def write_sweep(spec: SweepSpec, format: str, write: Callable[[bytes], object]) -> None:
     """Write the table of `emit_table(run_sweep(spec), format)` through `write`.
 
-    Each block of the grid is evaluated, formatted and written before the next.
+    Each block of the grid is evaluated, formatted and written before the next,
+    in one `write` per block: the head goes with the first block and the tail
+    with the last, so a sweep whose first block raises writes nothing.
     """
     piece, head, separator, tail = _table_format(format)
     grid = spec.grid()
-    write(head.encode("utf-8"))
     for start in range(0, len(grid), _BLOCK_ROWS):
         axis = grid[start:start + _BLOCK_ROWS]
-        text = piece(SweepTable(axis, spec.columns(axis)))
-        write(((separator if start else "") + text).encode("utf-8"))
-    write(tail.encode("utf-8"))
+        text = (separator if start else head) + piece(SweepTable(axis, spec.columns(axis)))
+        write((text + tail if start + _BLOCK_ROWS >= len(grid) else text).encode("utf-8"))
 
 
 @dataclass(frozen=True)

@@ -304,22 +304,43 @@ def test_unwritable_out_file_is_usage_error(capsys, tmp_path, target):
     assert "Traceback" not in err
 
 
-def test_closed_stdout_is_usage_error():
+@pytest.mark.parametrize("steps", ["3", "10000"])
+def test_closed_stdout_is_usage_error(steps):
     # the pipe's read end is closed before the first block is written, as when
-    # a reader such as `head` has stopped
+    # a reader such as `head` has stopped; stdout is buffered, as it is by
+    # default, so unsent bytes would still be flushed at exit
     src = pathlib.Path(otto_forge.__file__).parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     argv = ["sweep", *FIG5, "--bath", "thermal", "--axis", "frequency-ratio",
-            "--start", "0.1", "--stop", "1", "--steps", "10000"]
+            "--start", "0.1", "--stop", "1", "--steps", steps]
     with subprocess.Popen(
         [sys.executable, "-c", "from otto_forge.cli import run; run()", *argv],
-        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.PIPE,
+        env=env | {"PYTHONPATH": str(src)}, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True,
     ) as proc:
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 2
     assert err.startswith("error: cannot write 'stdout'")
-    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+# |alpha| of this bath is beyond the double range: the sweep fails before its first row
+OVERFLOWING_SWEEP = [
+    "sweep", *FIG5, "--bath", "displaced:1.5e308,1.5e308", "--axis", "displacement",
+    "--start", "0", "--stop", "1", "--steps", "3",
+]
+
+
+def test_failed_sweep_leaves_out_file_untouched(capsys, tmp_path):
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    for path, exists in ((tmp_path / "new.csv", False), (kept, True)):
+        code, out, err = run_cli(capsys, *OVERFLOWING_SWEEP, "--out", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("physics error: OverflowError")
+        assert path.exists() == exists
+    assert kept.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("bath", ["squeezed:1e308", "displaced:1e200,0"])
@@ -350,6 +371,8 @@ def strict_json(text):
             for bath in ("squeezed:0.5", "displaced:1,0.5", "squeezed:0.5+displaced:1,0.5")
             for cycle in ("standard", "modified")
         ),
+        OVERFLOWING_SWEEP,
+        (*OVERFLOWING_SWEEP, "--format", "json"),
     ],
 )
 def test_non_finite_result_is_physics_error(capsys, argv):

@@ -373,7 +373,7 @@ class TestEmitTable:
         assert any(failed) and not all(failed)
         chunks = []
         write_sweep(spec, format, chunks.append)
-        assert len(chunks) > 3
+        assert len(chunks) == 3  # one write per block
         assert b"".join(chunks) == emit_table(table, format=format)
 
     def test_cli_sweep_passes_at_most_one_block_per_kernel_call(self, capsys, monkeypatch):
