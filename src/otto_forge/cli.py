@@ -31,7 +31,7 @@ from .cycles import (
     ThermalBath,
     audit_laws,
 )
-from .fock import build_fock_density, choose_cutoff, entropy_fock, ergotropy_of_density
+from .fock import entropy_fock, ergotropy_of_density, search_density
 from .gaussian import (
     GaussianModeState,
     delta_n,
@@ -258,13 +258,12 @@ def _cmd_ergotropy(args: argparse.Namespace) -> int:
     }
     if args.oracle:
         _check_finite(payload)  # an overflowed analytic result leaves the oracle nothing to check
-        cutoff = choose_cutoff(state, tail_tol)
-        density = build_fock_density(state, cutoff, tail_tol)
+        density = search_density(state, tail_tol)
         oracle_w = ergotropy_of_density(density, omega)
         oracle_s = entropy_fock(density)
         payload.update(
             {
-                "oracle_cutoff": cutoff,
+                "oracle_cutoff": density.dim,
                 "trace_deficit": density.trace_deficit,
                 "ergotropy_fock": oracle_w,
                 "entropy_fock": oracle_s,

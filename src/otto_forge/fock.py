@@ -12,11 +12,14 @@ are exactly unitary, so rho = W W^dag with W = D S [sqrt(p_0) e_0 ...
 sqrt(p_{K-1}) e_{K-1}], where K counts the thermal levels whose population
 is above double round-off relative to p_0 (the dropped columns carry less
 than round-off; an undressed thermal state keeps all of them, exact level
-by level). Each generator is tridiagonal (the squeeze one per parity block),
-and its eigenbasis is applied to the N x K block, at O(N^2 K) cost. The
-populations are the squared row norms of W; the spectrum is an independent
-eigvalsh of the K x K Gram matrix W^dag W, whose eigenvalues are the nonzero
-ones of W W^dag. No N x N matrix is formed unless `FockDensity.matrix` is read.
+by level). Each generator is tridiagonal (the squeeze one per parity block)
+with a zero diagonal, so its eigenvalues come in +-lambda pairs: only the
+lambda > 0 half of its eigenbasis is applied to the N x K block, split into
+even and odd rows, at N^2 K multiply-adds against 2 N^2 K for the whole
+basis. The populations are the squared row norms of W; the spectrum is an
+independent eigvalsh of the K x K Gram matrix W^dag W, whose eigenvalues are
+the nonzero ones of W W^dag. No N x N matrix is formed unless
+`FockDensity.matrix` is read.
 
 One numerical subtlety governs the guards: because the truncated dressing
 is unitary at any cutoff, the trace of the built state stays near one even
@@ -29,7 +32,9 @@ does detect an unresolved state. Both are read from the row norms of W.
 The cutoff search uses the tail-decay law: the tail bound falls roughly as
 exp(-2N/V) with V = (2 n_th + 1) e^{2r} + 2|alpha|^2, so it starts at
 (V/2) ln(1/tol) and steps on the log of the tail bound with the decay rate
-measured between its probes, instead of doubling and bisecting.
+measured between its probes, instead of doubling and bisecting. It returns
+the density it built at the cutoff it settles on, so a caller builds each
+probed cutoff once.
 """
 
 from __future__ import annotations
@@ -114,7 +119,17 @@ class FockDensity:
 
     def mean_energy(self, omega: float) -> float:
         """Tr(rho H) for H = omega (a^dag a + 1/2) truncated to this basis."""
-        return float(self.populations() @ (omega * (np.arange(self.dim) + 0.5)))
+        return _ladder_energy(self.populations(), omega)
+
+
+def _ladder_energy(weights: np.ndarray, omega: float) -> float:
+    """sum_k weights_k omega (k + 1/2): the energy of weights on the oscillator levels.
+
+    Level energies past the double range give inf or nan without a numpy
+    warning: the caller's finiteness check reports them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(weights @ (omega * (np.arange(weights.size) + 0.5)))
 
 
 def _squared_row_norms(w: np.ndarray) -> np.ndarray:
@@ -130,24 +145,51 @@ def _real_times_complex(real: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _apply_skew_exponential(subdiag: np.ndarray, block: np.ndarray) -> np.ndarray:
     """expm(G) @ block for the skew-Hermitian tridiagonal generator G.
 
-    G has zero diagonal, G[k+1, k] = g_k and G[k, k+1] = -conj(g_k). A
-    unit-modulus diagonal conjugation d strips the phases of g, making iG
-    similar to the real symmetric tridiagonal T with off-diagonal |g|, so
-    expm(G) = d^dag V exp(-i Lambda) V^T d with T = V Lambda V^T. The
-    eigenbasis is applied to the block's columns; expm(G) itself is never
-    formed.
+    G has zero diagonal, G[k+1, k] = g_k and G[k, k+1] = -conj(g_k), with
+    every g_k nonzero or all of them zero. A unit-modulus diagonal
+    conjugation d strips the phases of g, making iG similar to the real
+    symmetric tridiagonal T with off-diagonal |g|, so
+    expm(G) = d^dag exp(-iT) d; expm(G) itself is never formed.
+
+    T's zero diagonal gives S T S = -T with S = diag((-1)^k), so its
+    eigenpairs come as (lambda, v) and (-lambda, S v), plus one zero mode
+    v_0 when N is odd. Write a and b for the even and odd rows of v, and
+    x_e, x_o for those of x; v and S v are orthogonal, so a and b each carry
+    half of v's norm. Each pair then contributes
+    2 cos(lambda) [a a^T x_e; b b^T x_o] - 2i sin(lambda) [a b^T x_o; b a^T x_e],
+    and v_0 contributes v_0 (v_0^T x). Only the lambda > 0 half of the
+    full eigenbasis is applied: four (N/2) x (N/2) products with the block
+    in place of two N x N ones.
+
+    That half stands for the whole only while each pair's lambda and
+    -lambda stay apart: the smallest |lambda| must be far above round-off
+    of the largest. For the squeeze and displacement generators up to
+    HARD_CUTOFF_CAP levels it is at least 6e-5 of the largest, and the
+    result agrees with the full eigenbasis's to round-off.
     """
     from scipy.linalg import eigh_tridiagonal  # deferred: only the oracle needs scipy
 
     g = np.asarray(subdiag, dtype=complex)
-    if g.size == 0:
+    if not g.any():
         return np.asarray(block, dtype=complex)
-    lam, vecs = eigh_tridiagonal(np.zeros(g.size + 1), np.abs(g))
+    dim = g.size + 1
+    lam, vecs = eigh_tridiagonal(np.zeros(dim), np.abs(g))
     # d_k = exp(i p_k) with p_0 = 0, p_{k+1} = p_k - (arg g_k + pi/2)
     d = np.exp(1j * np.concatenate(([0.0], -np.cumsum(np.angle(g) + 0.5 * np.pi))))
-    spectral = _real_times_complex(vecs.T, d[:, None] * block)
-    spectral *= np.exp(-1j * lam)[:, None]
-    return d.conj()[:, None] * _real_times_complex(vecs, spectral)
+    x = d[:, None] * block
+    # the eigenvalues ascend, so the lambda > 0 half is the last dim // 2
+    positive = slice(dim - dim // 2, dim)
+    even, odd = vecs[0::2, positive], vecs[1::2, positive]
+    ye, yo = _real_times_complex(even.T, x[0::2]), _real_times_complex(odd.T, x[1::2])
+    cos, sin = 2.0 * np.cos(lam[positive])[:, None], 2.0j * np.sin(lam[positive])[:, None]
+    out = np.empty_like(x)
+    out[0::2] = _real_times_complex(even, cos * ye - sin * yo)
+    out[1::2] = _real_times_complex(odd, cos * yo - sin * ye)
+    if dim % 2:
+        zero_mode = vecs[:, dim // 2]
+        out += np.outer(zero_mode, zero_mode @ x)
+    out *= d.conj()[:, None]
+    return out
 
 
 def _dressed_thermal_columns(state: GaussianModeState, p: np.ndarray) -> np.ndarray:
@@ -235,9 +277,7 @@ def ergotropy_of_density(density: FockDensity, omega: float) -> float:
     p_(k) are the eigenvalues of rho sorted descending; pairing them with
     ascending oscillator levels realises the minimum over unitaries.
     """
-    levels = omega * (np.arange(density.dim) + 0.5)
-    passive = float(density.eigenvalues[::-1] @ levels)
-    return density.mean_energy(omega) - passive
+    return density.mean_energy(omega) - _ladder_energy(density.eigenvalues[::-1], omega)
 
 
 def ergotropy_fock(
@@ -262,7 +302,19 @@ def choose_cutoff(
     tail_tol: float,
     hard_cap: int = HARD_CUTOFF_CAP,
 ) -> int:
-    """Smallest cutoff whose density passes the tail guard at tail_tol.
+    """Smallest cutoff whose density passes the tail guard at tail_tol; see search_density."""
+    return search_density(state, tail_tol, hard_cap).dim
+
+
+def search_density(
+    state: GaussianModeState,
+    tail_tol: float,
+    hard_cap: int = HARD_CUTOFF_CAP,
+) -> FockDensity:
+    """The density at the smallest cutoff that passes the tail guard at tail_tol.
+
+    It is the search's own build at that cutoff, so the caller need not
+    build the state again; choose_cutoff returns its dim.
 
     The occupation tail of a Gaussian state decays per level roughly as
     exp(-2/V), V = (2 n_th + 1) e^{2r} + 2|alpha|^2 being the antisqueezed
@@ -284,17 +336,18 @@ def choose_cutoff(
         raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol!r}")
     log_tol = math.log(tail_tol)
 
-    def probe(cutoff: int) -> tuple[bool, float]:
-        """Whether the cutoff passes, and the log of its tail bound.
+    def probe(cutoff: int) -> tuple[FockDensity | None, float]:
+        """The cutoff's density, None if it fails, and the log of its tail bound.
 
         A passing cutoff reports its edge occupation: its trace deficit sits
         at round-off and says nothing about how far the crossing is.
         """
         try:
-            tail = build_fock_density(state, cutoff, tail_tol).edge_mass
+            density = build_fock_density(state, cutoff, tail_tol)
         except CutoffTooSmall as exc:
-            return False, math.log(exc.tail_mass)
-        return True, math.log(tail) if tail > 0.0 else -math.inf
+            return None, math.log(exc.tail_mass)
+        tail = density.edge_mass
+        return density, math.log(tail) if tail > 0.0 else -math.inf
 
     variance = (2.0 * state.n_th + 1.0) * math.exp(2.0 * state.r) + 2.0 * abs(state.alpha) ** 2
     rate = 2.0 / variance
@@ -302,8 +355,12 @@ def choose_cutoff(
     passes: dict[int, bool] = {}
     last = None  # the latest probe with a finite log tail bound
     while True:
-        passed, log_tail = probe(cutoff)
-        passes[cutoff] = passed
+        density, log_tail = probe(cutoff)
+        passed = passes[cutoff] = density is not None
+        if passed:
+            # every probe after the first pass lies below the lowest passing
+            # cutoff, so the latest pass is the lowest one
+            lowest = density
         if not passed and cutoff >= hard_cap:
             raise CutoffSearchFailed(
                 f"no cutoff up to {hard_cap} reaches tail tolerance {tail_tol:.3e} "
@@ -321,7 +378,7 @@ def choose_cutoff(
         if hi is not None and hi - lo == 1:
             below_step = [j - 1 for j in (hi - 1, hi - 2) if _edge_window(j) > _edge_window(j - 1)]
             if not below_step or below_step[0] in passes:
-                return hi
+                return lowest
             cutoff = below_step[0]
             continue
         upper = hard_cap if hi is None else hi - 1

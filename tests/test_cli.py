@@ -263,7 +263,7 @@ def test_out_of_range_values_are_usage_errors(capsys, monkeypatch, tmp_path, arg
     def no_oracle(*args, **kwargs):
         raise AssertionError("the oracle ran on invalid input")
 
-    monkeypatch.setattr("otto_forge.cli.choose_cutoff", no_oracle)
+    monkeypatch.setattr("otto_forge.cli.search_density", no_oracle)
     if isinstance(argv[-1], dict):  # a trailing dict goes in through --config
         path = tmp_path / "config.json"
         path.write_text(json.dumps(argv[-1]))
@@ -373,13 +373,19 @@ def strict_json(text):
         ),
         OVERFLOWING_SWEEP,
         (*OVERFLOWING_SWEEP, "--format", "json"),
+        # a finite analytic payload whose Fock level energies overflow
+        ("ergotropy", "--nth", "0.1", "--omega", "1e308", "--oracle"),
     ],
 )
 def test_non_finite_result_is_physics_error(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("physics error: OverflowError")
+    assert err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
 
 
 def test_overflowed_analytic_result_skips_the_oracle(capsys):

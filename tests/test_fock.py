@@ -6,6 +6,7 @@ squeezed-vacuum occupation, spectrum invariance) and then the two routes are
 compared on random states.
 """
 
+import json
 import math
 
 import numpy as np
@@ -29,6 +30,8 @@ from otto_forge import (
     state_energy,
     thermal_entropy,
 )
+from otto_forge.cli import main
+from otto_forge.fock import search_density
 
 N2_REF = 0.15651764274966565
 
@@ -107,6 +110,21 @@ class TestConstruction:
         density = build_fock_density(state, cutoff, tail_tol=1e-6)
         reference = dense_reference_density(state, cutoff)
         assert np.max(np.abs(density.matrix - reference)) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 3, 10, 11, 64, 65])
+    def test_half_eigenbasis_exponential_matches_dense_expm(self, dim):
+        # odd dims carry a zero mode; random phases leave the +-lambda pairing intact
+        rng = np.random.default_rng(dim)
+        g = 0.7 * np.sqrt(np.arange(1.0, dim)) * np.exp(2j * np.pi * rng.random(dim - 1))
+        block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        generator = np.diag(g, -1) - np.diag(g.conj(), 1)
+        result = fock._apply_skew_exponential(g, block)
+        assert np.max(np.abs(result - expm(generator) @ block)) <= 1e-12
+
+    def test_zero_generator_leaves_the_block(self):
+        # a squeeze amplitude of 5e-324 halves to an all-zero generator
+        block = np.arange(12.0).reshape(4, 3) + 1j
+        assert np.array_equal(fock._apply_skew_exponential(np.zeros(3), block), block)
 
     @pytest.mark.parametrize(
         "state, cutoff", [*DRESSED_STATES, (GaussianModeState(1.0), 64)]
@@ -292,6 +310,39 @@ class TestChooseCutoff:
         monkeypatch.setattr(fock, "build_fock_density", counted)
         assert choose_cutoff(GaussianModeState(2.0, r=1.2, alpha=2.0), 1e-12) == 747
         assert len(calls) <= 6
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            GaussianModeState(0.0),
+            GaussianModeState(0.8, r=0.3),
+            GaussianModeState(0.4, r=0.6, alpha=1.0),
+            GaussianModeState(1.2, r=1.0, alpha=1.5 * np.exp(0.25j * np.pi)),
+        ],
+    )
+    def test_search_returns_the_density_at_its_cutoff(self, state):
+        density = search_density(state, 1e-12)
+        assert density.dim == choose_cutoff(state, 1e-12)
+        rebuilt = build_fock_density(state, density.dim, tail_tol=1e-12)
+        assert np.array_equal(density.factor, rebuilt.factor)
+
+    def test_oracle_command_builds_no_cutoff_twice(self, capsys, monkeypatch):
+        # every build assembles its factor once, whichever namespace calls it
+        built = []
+        columns = fock._dressed_thermal_columns
+
+        def counted(state, p):
+            built.append(p.size)
+            return columns(state, p)
+
+        monkeypatch.setattr(fock, "_dressed_thermal_columns", counted)
+        assert choose_cutoff(GaussianModeState(2.0, r=1.2, alpha=2.0), 1e-12) == 747
+        searched = built.copy()
+        built.clear()
+        argv = ["ergotropy", "--nth", "2", "--r", "1.2", "--alpha-re", "2", "--omega", "20", "--oracle"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["oracle_cutoff"] == 747
+        assert built == searched
 
     def test_window_step_below_the_result_is_probed(self):
         # the tail bound fails at 80, where the edge window widens, and
