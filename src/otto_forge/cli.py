@@ -13,6 +13,7 @@ over the config file, with a warning on stderr when they disagree.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -40,7 +41,7 @@ from .gaussian import (
     state_energy,
 )
 from .sweeps import (
-    MAX_SAMPLES, SweepAxis, SweepSpec, audit_campaign, ledger_record, write_sweep,
+    MAX_SAMPLES, SweepAxis, SweepSpec, audit_campaign, ledger_record, sweep_blocks,
 )
 from .thermo import thermal_entropy
 
@@ -95,7 +96,7 @@ def _parse_bath(text: str):
 
 def _merge_config(args: argparse.Namespace) -> None:
     """Fill unset flags from the --config JSON payload; flags win loudly."""
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return
     try:
         with open(args.config, encoding="utf-8") as handle:
@@ -158,12 +159,10 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, allow_nan=False))
 
 
-def _cmd_cycle(args: argparse.Namespace) -> int:
-    _merge_config(args)
-    args.cycle = args.cycle or "standard"
-    _require(args, "omega1", "omega2", "t1", "t2", "bath")
+def _cycle_config(args: argparse.Namespace) -> CycleConfig:
+    """The base cycle of `cycle` and `sweep`, from the flags both take."""
     try:
-        config = CycleConfig(
+        return CycleConfig(
             omega1=args.omega1,
             omega2=args.omega2,
             t1=args.t1,
@@ -172,6 +171,10 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _cmd_cycle(args: argparse.Namespace) -> int:
+    config = _cycle_config(args)
     ledger = CYCLE_EVALUATORS[CycleKind(args.cycle)](config)
     law = audit_laws(ledger, config)
     record = ledger_record(ledger, law) | {
@@ -186,20 +189,9 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _merge_config(args)
-    args.cycle = args.cycle or "standard"
-    args.format = args.format or "csv"
-    _require(args, "omega1", "omega2", "t1", "t2", "bath", "axis", "start", "stop", "steps")
     try:
-        base = CycleConfig(
-            omega1=args.omega1,
-            omega2=args.omega2,
-            t1=args.t1,
-            t2=args.t2,
-            bath=_parse_bath(str(args.bath)),
-        )
         spec = SweepSpec(
-            base=base,
+            base=_cycle_config(args),
             axis=SweepAxis(args.axis),
             start=args.start,
             stop=args.stop,
@@ -208,20 +200,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    out = None
-
-    def write(data: bytes) -> None:
-        nonlocal out
-        if out is None:  # opened at the first block: a sweep that fails to evaluate writes nothing
-            out = open(args.out, "wb") if args.out else sys.stdout.buffer
-        out.write(data)
-
+    blocks = sweep_blocks(spec, args.format)
+    first = next(blocks)  # evaluated before the output opens: a sweep that fails writes nothing
     try:
+        out = open(args.out, "wb") if args.out else sys.stdout.buffer
         try:
-            write_sweep(spec, args.format, write)
+            out.writelines(itertools.chain((first,), blocks))
         finally:  # a reader that stops early, as `| head` does, fails a write with EPIPE
-            if out is not None:
-                out.close() if args.out else out.flush()
+            out.close() if args.out else out.flush()
     except OSError as exc:
         if not args.out:  # the unsent rest goes to /dev/null, not to a failed flush at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -230,21 +216,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_ergotropy(args: argparse.Namespace) -> int:
-    _merge_config(args)
-    _require(args, "nth", "omega")
     omega = float(args.omega)
     try:
         state = GaussianModeState(
-            n_th=args.nth,
-            r=args.r or 0.0,
-            alpha=complex(args.alpha_re or 0.0, args.alpha_im or 0.0),
+            n_th=args.nth, r=args.r, alpha=complex(args.alpha_re, args.alpha_im)
         )
         analytic = ergotropy_analytic(state, omega)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    tail_tol = args.tail_tol if args.tail_tol is not None else 1e-12
-    if args.oracle and not 0.0 < tail_tol < 1.0:
-        raise _UsageError(f"--tail-tol must lie in (0, 1), got {tail_tol!r}")
+    if args.oracle and not 0.0 < args.tail_tol < 1.0:
+        raise _UsageError(f"--tail-tol must lie in (0, 1), got {args.tail_tol!r}")
     payload = {
         "n_th": state.n_th,
         "r": state.r,
@@ -258,7 +239,7 @@ def _cmd_ergotropy(args: argparse.Namespace) -> int:
     }
     if args.oracle:
         _check_finite(payload)  # an overflowed analytic result leaves the oracle nothing to check
-        density = search_density(state, tail_tol)
+        density = search_density(state, args.tail_tol)
         oracle_w = ergotropy_of_density(density, omega)
         oracle_s = entropy_fock(density)
         payload.update(
@@ -277,9 +258,6 @@ def _cmd_ergotropy(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    _merge_config(args)
-    args.family = args.family or "mixed"
-    _require(args, "samples", "seed")
     if args.samples < 1:
         raise _UsageError("--samples must be at least 1")
     if args.samples > MAX_SAMPLES:
@@ -299,6 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_config(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", help="JSON file providing any of the value flags")
+
+    base_flags = ("omega1", "omega2", "t1", "t2", "bath")
+
     def add_base_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--omega1", type=float, help="working-fluid frequency in strokes 4/1")
         p.add_argument("--omega2", type=float, help="working-fluid frequency in strokes 2/3")
@@ -314,11 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
             choices=sorted(k.value for k in CycleKind),
             help="cycle variant (default: standard)",
         )
-        p.add_argument("--config", help="JSON file providing any of the value flags")
+        add_config(p)
 
     p_cycle = sub.add_parser("cycle", help="compute one stroke ledger")
     add_base_flags(p_cycle)
-    p_cycle.set_defaults(func=_cmd_cycle, parser=p_cycle)
+    p_cycle.set_defaults(func=_cmd_cycle, parser=p_cycle, required=base_flags,
+                         defaults={"cycle": "standard"})
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter and emit a table")
     add_base_flags(p_sweep)
@@ -330,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--steps", type=int, help="number of grid points (>= 2)")
     p_sweep.add_argument("--format", choices=("csv", "json"), help="table format (default: csv)")
     p_sweep.add_argument("--out", help="write the table to a file instead of stdout")
-    p_sweep.set_defaults(func=_cmd_sweep, parser=p_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, parser=p_sweep,
+                         required=(*base_flags, "axis", "start", "stop", "steps"),
+                         defaults={"cycle": "standard", "format": "csv"})
 
     p_ergo = sub.add_parser("ergotropy", help="analytic state report, optionally oracle-checked")
     p_ergo.add_argument("--nth", type=float, help="thermal occupation of the state")
@@ -342,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle", action="store_true", help="also run the truncated-Fock oracle"
     )
     p_ergo.add_argument("--tail-tol", type=float, help="oracle tail tolerance (default 1e-12)")
-    p_ergo.add_argument("--config", help="JSON file providing any of the value flags")
-    p_ergo.set_defaults(func=_cmd_ergotropy, parser=p_ergo)
+    add_config(p_ergo)
+    p_ergo.set_defaults(func=_cmd_ergotropy, parser=p_ergo, required=("nth", "omega"),
+                        defaults={"r": 0.0, "alpha_re": 0.0, "alpha_im": 0.0, "tail_tol": 1e-12})
 
     p_audit = sub.add_parser("audit", help="randomized first/second-law audit campaign")
     p_audit.add_argument("--samples", type=int, help="number of random configurations")
@@ -353,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("first-kind", "second-kind", "mixed"),
         help="configuration family to draw from (default: mixed)",
     )
-    p_audit.add_argument("--config", help="JSON file providing any of the value flags")
-    p_audit.set_defaults(func=_cmd_audit, parser=p_audit)
+    add_config(p_audit)
+    p_audit.set_defaults(func=_cmd_audit, parser=p_audit, required=("samples", "seed"),
+                         defaults={"family": "mixed"})
 
     return parser
 
@@ -366,6 +354,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
+        # every flag's argparse default is None, so that a config value can
+        # stand in for it; each command's own defaults and required flags
+        # apply once the config file is merged
+        _merge_config(args)
+        for name, value in args.defaults.items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)
+        _require(args, *args.required)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -385,7 +385,7 @@ class LedgerColumns:
     The inputs (omega1, omega2, t1, t2, dn) and the occupations n1, n2 are
     kept with the ledger entries. Entries a StrokeLedger leaves as None hold
     NaN: eta and cop outside their regimes, w_inv without refrigeration, and
-    the stroke-3 split w3_th, w3_nonpas outside the modified ledger. `split`
+    w3_prime and its split w3_th, w3_nonpas outside the modified ledger. `split`
     marks the rows that hold a modified ledger; the other rows of a modified
     call fell back to the standard one (delta_n = 0). `errors` holds, for
     each failed row, the exception its scalar evaluation raises; the
@@ -408,6 +408,7 @@ class LedgerColumns:
     q4: np.ndarray
     e2: np.ndarray
     e4: np.ndarray
+    w3_prime: np.ndarray
     w3_th: np.ndarray
     w3_nonpas: np.ndarray
     eta: np.ndarray
@@ -435,21 +436,19 @@ class LedgerColumns:
         """Row i as a StrokeLedger; raises the row's exception if it failed."""
         if self.errors[i] is not None:
             raise self.errors[i]
-        split = bool(self.split[i])
         # a modified call's row without the split fell back to the standard ledger
-        kind = CycleKind.STANDARD if self.kind is CycleKind.MODIFIED and not split else self.kind
-        w3 = self.w3[i].item()
+        fell_back = self.kind is CycleKind.MODIFIED and not self.split[i]
         return StrokeLedger(
-            kind=kind,
-            w1=self.w1[i].item(), w2=self.w2[i].item(), w3=w3, w4=self.w4[i].item(),
+            kind=CycleKind.STANDARD if fell_back else self.kind,
+            w1=self.w1[i].item(), w2=self.w2[i].item(), w3=self.w3[i].item(), w4=self.w4[i].item(),
             q2=self.q2[i].item(), q4=self.q4[i].item(), e2=self.e2[i].item(), e4=self.e4[i].item(),
             eta=_defined(self.eta[i]), cop=_defined(self.cop[i]),
             regime=_REGIMES[self.regime[i]],
-            w3_prime=w3 if split else None,
+            w3_prime=_defined(self.w3_prime[i]),
             w3_th=_defined(self.w3_th[i]), w3_nonpas=_defined(self.w3_nonpas[i]),
             w_inv=_defined(self.w_inv[i]),
             eta_reason=_ETA_REASONS[self.reason[i]],
-            note=_NOTHING_TO_UNDO if self.kind is CycleKind.MODIFIED and not split else None,
+            note=_NOTHING_TO_UNDO if fell_back else None,
         )
 
     def law(self, i: int) -> LawReport:
@@ -545,7 +544,7 @@ def _first_kind_columns(o1, o2, n1, n2, dn, errors, modified: bool) -> dict:
     eta, reason = _engine_efficiency(net, e2, tol)
     undefined = np.full(len(w1), np.nan)
     columns = dict(
-        w1=w1, w2=w2, w3=w3, w4=w4, q2=q2, q4=q4, e2=e2, e4=e4,
+        w1=w1, w2=w2, w3=w3, w4=w4, q2=q2, q4=q4, e2=e2, e4=e4, w3_prime=undefined,
         w3_th=undefined, w3_nonpas=undefined, eta=eta, cop=undefined, w_inv=undefined,
         regime=_classify_first_kind(net, q2, e4, tol), reason=reason,
         split=np.zeros(len(w1), dtype=bool), scale=scale,
@@ -574,7 +573,7 @@ def _first_kind_columns(o1, o2, n1, n2, dn, errors, modified: bool) -> dict:
     # engine/refrigerator only if the piston still extracts net work.
     dual = regime == _CODE[RegimeTag.DUAL_ENGINE_REFRIGERATOR]
     modified_columns = dict(
-        w3=w3p, w4=w4, e4=e4, w3_th=w3_th, w3_nonpas=w3_nonpas,
+        w3=w3p, w4=w4, e4=e4, w3_prime=w3p, w3_th=w3_th, w3_nonpas=w3_nonpas,
         eta=np.where(hybrid, 1.0 - (o1 * (n2 - n1)) / hybrid_divisor,
                      np.where(dual, 1.0, np.nan)),
         cop=np.where(hybrid, np.nan, o1 / (o2 - o1)),  # n2 < n1 forces o1 < o2 under t1 <= t2
@@ -609,7 +608,7 @@ def _second_kind_columns(o1, o2, n1, n2, dn, errors) -> dict:
     eta, reason = _engine_efficiency(net, q2, tol)
     undefined = np.full(len(w1), np.nan)
     return dict(
-        w1=w1, w2=zero, w3=w3, w4=zero, q2=q2, q4=q4, e2=q2, e4=q4,
+        w1=w1, w2=zero, w3=w3, w4=zero, q2=q2, q4=q4, e2=q2, e4=q4, w3_prime=undefined,
         w3_th=undefined, w3_nonpas=undefined, eta=eta, cop=undefined, w_inv=undefined,
         regime=_classify_second_kind(net, tol), reason=reason,
         split=np.zeros(len(w1), dtype=bool), scale=scale,

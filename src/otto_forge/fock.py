@@ -203,22 +203,18 @@ def _dressed_thermal_columns(state: GaussianModeState, p: np.ndarray) -> np.ndar
     dim = p.shape[0]
     # K: the levels whose population is above round-off relative to p_0; an
     # undressed state keeps its whole diagonal, exact level by level
-    undressed = state.r == 0.0 and state.alpha == 0j
-    width = dim if undressed else int(np.count_nonzero(p > np.finfo(float).eps * p[0]))
+    width = dim if state.is_passive else int(np.count_nonzero(p > np.finfo(float).eps * p[0]))
     w = np.zeros((dim, width), dtype=complex)
     w[np.arange(width), np.arange(width)] = np.sqrt(p[:width])
     if state.r > 0.0:
         xi = state.r * complex(math.cos(state.squeeze_phase), math.sin(state.squeeze_phase))
         for offset in (0, 1):
-            levels = np.arange(offset, dim, 2)
-            columns = np.arange(offset, width, 2)
-            if columns.size == 0:
+            block = w[offset::2, offset::2]  # a view of one parity block
+            if block.shape[1] == 0:
                 continue
-            low = levels[:-1].astype(float)
+            low = np.arange(offset, dim - 2, 2, dtype=float)  # each level but the block's top
             subdiag = -0.5 * xi * np.sqrt((low + 1.0) * (low + 2.0))
-            w[np.ix_(levels, columns)] = _apply_skew_exponential(
-                subdiag, w[np.ix_(levels, columns)]
-            )
+            block[...] = _apply_skew_exponential(subdiag, block)
     if state.alpha != 0j:
         k = np.arange(1, dim, dtype=float)
         w = _apply_skew_exponential(state.alpha * np.sqrt(k), w)

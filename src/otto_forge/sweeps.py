@@ -11,11 +11,14 @@ directly, while for squeezed or displaced baths the bath parameter (r or
 |alpha|) is re-solved at every grid point so that the stroke-2 excess equals
 the axis value. That makes efficiency-versus-excess sweeps bath-agnostic.
 
-Sweeps and audits run on columns. `write_sweep` cuts a sweep's grid into
-blocks of 4096 rows; for each block it builds the omega1, T1 and delta_n
+Sweeps and audits run on columns. `sweep_blocks` cuts a sweep's grid into
+blocks of 4096 rows and yields each block's CSV or JSON bytes before it
+evaluates the next: for each block it builds the omega1, T1 and delta_n
 columns of its axis, makes one call of the ledger kernel,
-`cycles.ledger_columns`, and formats and writes CSV or JSON straight from
-the resulting columns, so its memory does not grow with the steps. An audit
+`cycles.ledger_columns`, and formats the rows straight from the resulting
+columns, so its memory does not grow with the steps. One map from table
+column to ledger attribute gives `TABLE_COLUMNS`, the cells of a block and
+`ledger_record`, the same columns read from one StrokeLedger. An audit
 decodes its samples in arrays from the raw words of its generator, bit for
 bit the values that sequential `Generator` calls give, evaluates each family
 with one kernel call and tallies its checks as array reductions. Every
@@ -31,7 +34,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -56,41 +59,19 @@ from .cycles import (
 from .gaussian import excess_excitation
 from .thermo import occupation
 
-TABLE_COLUMNS = (
-    "axis",
-    "W1",
-    "W2",
-    "W3",
-    "W3_prime",
-    "W4",
-    "Q2",
-    "Q4",
-    "E2",
-    "E4",
-    "eta",
-    "cop",
-    "regime",
-    "law_residual",
-)
+# Each float column of the table, with the StrokeLedger and LedgerColumns
+# attribute it shows; the table puts them between axis and regime.
+_LEDGER_FLOATS = {
+    "W1": "w1", "W2": "w2", "W3": "w3", "W3_prime": "w3_prime", "W4": "w4",
+    "Q2": "q2", "Q4": "q4", "E2": "e2", "E4": "e4", "eta": "eta", "cop": "cop",
+}
+TABLE_COLUMNS = ("axis", *_LEDGER_FLOATS, "regime", "law_residual")
 
 
 def ledger_record(ledger: StrokeLedger, law: LawReport) -> dict:
     """The table columns after `axis` for one ledger and its law audit."""
-    return {
-        "W1": ledger.w1,
-        "W2": ledger.w2,
-        "W3": ledger.w3,
-        "W3_prime": ledger.w3_prime,
-        "W4": ledger.w4,
-        "Q2": ledger.q2,
-        "Q4": ledger.q4,
-        "E2": ledger.e2,
-        "E4": ledger.e4,
-        "eta": ledger.eta,
-        "cop": ledger.cop,
-        "regime": ledger.regime.value,
-        "law_residual": law.first_law_residual,
-    }
+    record = {column: getattr(ledger, name) for column, name in _LEDGER_FLOATS.items()}
+    return record | {"regime": ledger.regime.value, "law_residual": law.first_law_residual}
 
 
 class SweepAxis(Enum):
@@ -282,25 +263,16 @@ _JSON_ERROR = "{" + ", ".join(
 _BLOCK_ROWS = 4096
 
 
-def _nullable_cells(column: np.ndarray, number_format: str, null: str) -> list[str]:
-    return [null if math.isnan(x) else number_format % x for x in column.tolist()]
-
-
 def _table_cells(table: SweepTable, number_format: str, null: str, regime_cell) -> list[list]:
     """The cell lists of TABLE_COLUMNS, in order; undefined and regime cells as strings."""
     c = table.columns
-    nullable = {
-        "W3_prime": np.where(c.split, c.w3, np.nan),
-        "eta": c.eta,
-        "cop": c.cop,
-    }
-    cells = {name: _nullable_cells(col, number_format, null) for name, col in nullable.items()}
-    cells["regime"] = c.regime_cells(regime_cell)
-    cells["axis"] = table.axis.tolist()
-    cells["law_residual"] = c.law_residual.tolist()
-    for name in ("W1", "W2", "W3", "W4", "Q2", "Q4", "E2", "E4"):
-        cells[name] = getattr(c, name.lower()).tolist()
-    return [cells[name] for name in TABLE_COLUMNS]
+    cells = [table.axis.tolist()]
+    for column, name in _LEDGER_FLOATS.items():
+        values = getattr(c, name).tolist()
+        if column in _NULLABLE:
+            values = [null if math.isnan(x) else number_format % x for x in values]
+        cells.append(values)
+    return [*cells, c.regime_cells(regime_cell), c.law_residual.tolist()]
 
 
 def _format_rows(table: SweepTable, cells, row_format: str, error_format: str, text_cell) -> list:
@@ -344,7 +316,7 @@ def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
     CSV floats carry 17 significant digits, enough to round-trip doubles
     exactly; the JSON form round-trips bit-exactly through json.loads. Only
     error-row regime cells can need CSV quoting. The table is one block, so
-    memory grows with its rows; `write_sweep` writes the same bytes in blocks.
+    memory grows with its rows; `sweep_blocks` yields the same bytes in blocks.
     """
     if not len(rows):
         raise ValueError("emit_table needs at least one row")
@@ -352,19 +324,19 @@ def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
     return (head + piece(rows) + tail).encode("utf-8")
 
 
-def write_sweep(spec: SweepSpec, format: str, write: Callable[[bytes], object]) -> None:
-    """Write the table of `emit_table(run_sweep(spec), format)` through `write`.
+def sweep_blocks(spec: SweepSpec, format: str) -> Iterator[bytes]:
+    """The bytes of `emit_table(run_sweep(spec), format)`, one encoded block at a time.
 
-    Each block of the grid is evaluated, formatted and written before the next,
-    in one `write` per block: the head goes with the first block and the tail
-    with the last, so a sweep whose first block raises writes nothing.
+    Each block of the grid is evaluated and formatted only when the one
+    before it has been taken: the head comes with the first block and the
+    tail with the last, so a sweep whose first block raises yields nothing.
     """
     piece, head, separator, tail = _table_format(format)
     grid = spec.grid()
     for start in range(0, len(grid), _BLOCK_ROWS):
         axis = grid[start:start + _BLOCK_ROWS]
         text = (separator if start else head) + piece(SweepTable(axis, spec.columns(axis)))
-        write((text + tail if start + _BLOCK_ROWS >= len(grid) else text).encode("utf-8"))
+        yield (text + tail if start + _BLOCK_ROWS >= len(grid) else text).encode("utf-8")
 
 
 @dataclass(frozen=True)

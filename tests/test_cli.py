@@ -437,6 +437,32 @@ def test_cycle_json_matches_sweep_row(capsys, bath, cycle):
     assert {key: single[key] for key in shared} == {key: row[key] for key in shared}
 
 
+SWEEP_POINT = ["--axis", "frequency-ratio", "--start", "0.1", "--stop", "1", "--steps", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (("cycle", *FIG5, "--bath", "squeezed:0.5"), {"--cycle": "standard"}),
+        (("sweep", *FIG5, "--bath", "squeezed:0.5", *SWEEP_POINT),
+         {"--cycle": "standard", "--format": "csv"}),
+        (("ergotropy", "--nth", "0.2", "--omega", "3", "--oracle"),
+         {"--r": "0", "--alpha-re": "0", "--alpha-im": "0", "--tail-tol": "1e-12"}),
+        (("audit", "--samples", "20", "--seed", "1"), {"--family": "mixed"}),
+    ],
+    ids=["cycle", "sweep", "ergotropy", "audit"],
+)
+def test_omitted_flag_is_its_declared_default(capsys, argv, defaults):
+    explicit = [item for flag_value in defaults.items() for item in flag_value]
+    code, expected, err = run_cli(capsys, *argv, *explicit)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    for flag in defaults:  # each flag left out on its own
+        rest = [item for other, value in defaults.items() if other != flag
+                for item in (other, value)]
+        assert run_cli(capsys, *argv, *rest) == (0, expected, ""), flag
+
+
 class TestConfigFile:
     def test_config_supplies_flags(self, capsys, tmp_path):
         config = tmp_path / "cycle.json"

@@ -38,7 +38,7 @@ from otto_forge.sweeps import (
     SweepTable,
     _draw_chunks,
     ledger_record,
-    write_sweep,
+    sweep_blocks,
 )
 
 FIG5_BASE = CycleConfig(7, 20, 2, 10, SqueezedThermalBath(0.5))
@@ -196,6 +196,14 @@ class TestRunSweep:
             elif row.axis_value > carnot_boundary + step:
                 assert row.ledger.regime is RegimeTag.SUB_CARNOT_HYBRID_ENGINE
                 assert row.ledger.q2 >= 0.0
+
+    def test_w3_prime_column_is_w3_on_the_modified_split(self):
+        columns = run_sweep(fig5_delta_n_spec()).columns
+        assert not columns.split[0] and columns.split[1:].all()  # row 0 has delta_n = 0
+        assert np.array_equal(np.isnan(columns.w3_prime), ~columns.split)
+        assert np.array_equal(columns.w3_prime[columns.split], columns.w3[columns.split])
+        for kind, dn in ((CycleKind.STANDARD, [0.0, 0.5]), (CycleKind.SECOND_KIND, [-0.1, 0.5])):
+            assert np.isnan(ledger_columns(kind, 7.0, 20.0, 2.0, 10.0, dn).w3_prime).all()
 
     def test_per_point_errors_become_row_flags(self):
         base = CycleConfig(7, 20, 2, 10, SecondKindBath(excess=0.0))
@@ -371,9 +379,8 @@ class TestEmitTable:
         table = run_sweep(spec)
         failed = [row.error is not None for row in table]
         assert any(failed) and not all(failed)
-        chunks = []
-        write_sweep(spec, format, chunks.append)
-        assert len(chunks) == 3  # one write per block
+        chunks = list(sweep_blocks(spec, format))
+        assert len(chunks) == 3  # one encoded piece per block
         assert b"".join(chunks) == emit_table(table, format=format)
 
     def test_cli_sweep_passes_at_most_one_block_per_kernel_call(self, capsys, monkeypatch):
