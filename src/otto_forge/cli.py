@@ -242,6 +242,8 @@ def _cmd_ergotropy(args: argparse.Namespace) -> int:
         density = search_density(state, args.tail_tol)
         oracle_w = ergotropy_of_density(density, omega)
         oracle_s = entropy_fock(density)
+        # a passive state's ergotropy is 0: its deviation is read against its energy
+        scale = max(analytic, 1e-9) if analytic > 0.0 else payload["energy"]
         payload.update(
             {
                 "oracle_cutoff": density.dim,
@@ -249,7 +251,7 @@ def _cmd_ergotropy(args: argparse.Namespace) -> int:
                 "ergotropy_fock": oracle_w,
                 "entropy_fock": oracle_s,
                 "thermal_entropy": thermal_entropy(state.n_th),
-                "ergotropy_rel_dev": abs(oracle_w - analytic) / max(analytic, 1e-9),
+                "ergotropy_rel_dev": abs(oracle_w - analytic) / scale,
                 "entropy_dev": abs(oracle_s - thermal_entropy(state.n_th)),
             }
         )

@@ -34,17 +34,28 @@ Every evaluation runs through one column kernel, `ledger_columns`: given
 arrays of omega1, omega2, T1, T2 and delta_n it returns every ledger column,
 with the regime and efficiency rules applied as masks. The scalar
 evaluators, sweeps and audits all call it; a scalar evaluation is a size-1
-call. Its transcendentals (occupations, temperatures) run element by element
-through `math`, that is libm, because numpy's vectorised loops differ from
-libm by an ulp or two on some inputs, which the cancellation in
-Q2 = omega2 (n2 - n1) amplifies. Only + - * /, comparisons, abs, max and
-where run as numpy ufuncs, which round exactly as the scalar expressions do.
+call. Its transcendentals come from the column forms of the thermo and
+gaussian functions (`occupation_column`, `invert_occupation_column`,
+`excess_excitation_column`). Each maps every libm function the scalar code
+calls (expm1, exp, log1p, sinh, pow for ** 2, abs of a complex) over the
+column's values, one Python call per element, through `libm_column`,
+because numpy's vectorised loops differ from libm by an ulp or two on some
+inputs, which the cancellation in Q2 = omega2 (n2 - n1) amplifies. Only
++ - * /, comparisons, abs, max and where run as numpy ufuncs, in the scalar
+code's order, and they round exactly as the scalar expressions do. The rows
+whose scalar call raises (a failed check, or a division by expm1(x) = 0),
+or that the column form cannot vouch for (an overflow it would have to
+guess), are evaluated by `rowwise` with the scalar function, those rows
+alone, so the scalar functions stay the one definition of every branch,
+check and message. A column call whose inputs hold one value (one row, or
+broadcasts) makes one scalar call.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Union
@@ -54,6 +65,7 @@ import numpy as np
 from .errors import InvalidExcess, NotApplicable, OttoForgeError
 from .gaussian import excess_excitation
 from .thermo import (
+    _EXP_OVERFLOW,
     invert_occupation,
     occupation,
     thermal_entropy,
@@ -353,13 +365,14 @@ def rowwise(fn: Callable[..., float], errors: np.ndarray, *columns) -> np.ndarra
 
     Each call gets Python numbers, so its transcendentals run through libm
     exactly as in a scalar call. Columns that hold one value (scalars or
-    broadcasts) are evaluated once. A row whose call raises one of
+    broadcasts) are evaluated once. The column forms below use it for the
+    rows they leave to the scalar code. A row whose call raises one of
     ROW_ERRORS gets NaN, and the exception in `errors` unless the row has
     already failed.
     """
     n = len(errors)
     columns = [np.asarray(c) for c in columns]
-    if n and all(c.ndim == 0 or c.strides[0] == 0 for c in columns):
+    if n and _one_value(errors, columns):
         try:
             value = fn(*(c.item(0) for c in columns))
         except ROW_ERRORS as exc:
@@ -376,6 +389,114 @@ def rowwise(fn: Callable[..., float], errors: np.ndarray, *columns) -> np.ndarra
             if errors[i] is None:
                 errors[i] = exc
     return np.array(values, dtype=float)
+
+
+def libm_column(fn: Callable[..., float], column: np.ndarray, *args) -> np.ndarray:
+    """fn(x, *args) for each element x of the 1-d `column`, as a float array.
+
+    Each call gets a Python number, so libm rounds it as in a scalar call.
+    `fn` must not raise on any element.
+    """
+    return np.array(list(map(fn, column.tolist(), *map(itertools.repeat, args))), dtype=float)
+
+
+def _one_value(errors: np.ndarray, columns) -> bool:
+    """Whether the columns need one evaluation: one row, or one value each (scalars or broadcasts)."""
+    return len(errors) <= 1 or all(
+        c.ndim == 0 or c.strides[0] == 0 for c in map(np.asarray, columns)
+    )
+
+
+def _fall_back(fn, errors: np.ndarray, values: np.ndarray, mask: np.ndarray, *columns):
+    """`values`, with the masked rows evaluated by rowwise(fn, ...) one call per row."""
+    rows = np.flatnonzero(mask)
+    if rows.size:
+        row_errors = errors[rows]
+        values[rows] = rowwise(fn, row_errors, *(c[rows] for c in columns))
+        errors[rows] = row_errors
+    return values
+
+
+def _positive(omega: np.ndarray) -> np.ndarray:
+    """The rows that pass thermo's frequency check."""
+    return np.isfinite(omega) & (omega > 0.0)
+
+
+def occupation_column(omega, t, errors: np.ndarray) -> np.ndarray:
+    """occupation(omega, t) of each row, bit for bit, as len(errors) floats.
+
+    omega and t broadcast to len(errors) rows. A row whose scalar call
+    raises gets NaN, and the exception in `errors` unless it has already
+    failed, as in rowwise.
+    """
+    if _one_value(errors, (omega, t)):
+        return rowwise(occupation, errors, omega, t)
+    n = len(errors)
+    omega, t = (_column(np.asarray(x, dtype=float), n) for x in (omega, t))
+    with np.errstate(all="ignore"):
+        valid = _positive(omega) & np.isfinite(t) & (t >= 0.0)
+        x = omega / t
+        warm = valid & (t > 0.0)  # T = 0 holds exactly 0
+        tail = warm & (x > _EXP_OVERFLOW)
+        body = warm & ~tail
+        expm1 = libm_column(math.expm1, np.where(body, x, 1.0))
+        values = np.where(body, 1.0 / expm1, 0.0)
+        if tail.any():
+            values[tail] = libm_column(math.exp, -x[tail])
+    return _fall_back(occupation, errors, values, ~valid | (body & (expm1 == 0.0)), omega, t)
+
+
+def invert_occupation_column(omega, n, errors: np.ndarray) -> np.ndarray:
+    """invert_occupation(omega, n) of each row, bit for bit, as len(errors) floats.
+
+    Broadcasting and failed rows as in `occupation_column`.
+    """
+    if _one_value(errors, (omega, n)):
+        return rowwise(invert_occupation, errors, omega, n)
+    omega, n = (_column(np.asarray(x, dtype=float), len(errors)) for x in (omega, n))
+    with np.errstate(all="ignore"):
+        valid = _positive(omega) & np.isfinite(n) & (n >= 0.0)
+        excited = valid & (n != 0.0)  # n = 0 maps back to T = 0
+        log1p = libm_column(math.log1p, np.where(excited, 1.0 / n, 1.0))
+        values = np.where(excited, omega / log1p, 0.0)
+    return _fall_back(
+        invert_occupation, errors, values, ~valid | (excited & (log1p == 0.0)), omega, n
+    )
+
+
+# Bounds within which sinh(r), its square and |alpha|^2 stay in the double
+# range: sinh(710) < 1.2e308, (1e154)^2 = 1e308, and |alpha| < 1.5e153 when
+# both its parts are within 1e153. The column form leaves rows beyond them
+# (or holding NaN) to the scalar code, which decides whether they overflow.
+_SINH_ARGUMENT, _SQUARED, _ALPHA_PART = 710.0, 1e154, 1e153
+
+
+def excess_excitation_column(n_th, r, alpha, errors: np.ndarray) -> np.ndarray:
+    """excess_excitation(n_th, r, alpha) of each row, bit for bit, as len(errors) floats.
+
+    Broadcasting and failed rows as in `occupation_column`. sinh(0)^2 and
+    |0|^2 are exactly 0, so libm runs only on the squeezed and the displaced rows.
+    """
+    if _one_value(errors, (n_th, r, alpha)):
+        return rowwise(excess_excitation, errors, n_th, r, alpha)
+    n = len(errors)
+    n_th, r = (_column(np.asarray(x, dtype=float), n) for x in (n_th, r))
+    alpha = _column(np.asarray(alpha, dtype=complex), n)
+    with np.errstate(all="ignore"):
+        scalar = ~(
+            (np.abs(r) <= _SINH_ARGUMENT)
+            & (np.abs(alpha.real) <= _ALPHA_PART) & (np.abs(alpha.imag) <= _ALPHA_PART)
+        )
+        squeezed = np.flatnonzero(~scalar & (r != 0.0))
+        sinh = libm_column(math.sinh, r[squeezed])
+        too_large = np.abs(sinh) > _SQUARED
+        scalar[squeezed[too_large]] = True
+        squeeze, displacement = np.zeros(n), np.zeros(n)
+        squeeze[squeezed[~too_large]] = libm_column(pow, sinh[~too_large], 2)
+        displaced = np.flatnonzero(~scalar & (alpha != 0.0))
+        displacement[displaced] = libm_column(pow, libm_column(abs, alpha[displaced]), 2)
+        values = (2.0 * n_th + 1.0) * squeeze + displacement
+    return _fall_back(excess_excitation, errors, values, scalar, n_th, r, alpha)
 
 
 @dataclass(eq=False)
@@ -464,7 +585,7 @@ class LedgerColumns:
 
         That is Theta for a first-kind bath and T_real for a second-kind one.
         """
-        return rowwise(invert_occupation, self.errors, self.omega2, self.n2 + self.dn)
+        return invert_occupation_column(self.omega2, self.n2 + self.dn, self.errors)
 
     def clausius_sums(self, hot: np.ndarray) -> np.ndarray:
         """Q2/T_hot + Q4/T1 per row, NaN where a zero temperature skips the check."""
@@ -494,8 +615,8 @@ def ledger_columns(
     o1, o2, t1, t2, dn = (_column(x, n) for x in inputs)
     if errors is None:
         errors = np.full(n, None, dtype=object)
-    n1 = rowwise(occupation, errors, o1, t1)
-    n2 = rowwise(occupation, errors, o2, t2)
+    n1 = occupation_column(o1, t1, errors)
+    n2 = occupation_column(o2, t2, errors)
     # failed rows carry NaN and overflowing ones inf; both end up in `errors`
     with np.errstate(all="ignore"):
         if kind is CycleKind.SECOND_KIND:

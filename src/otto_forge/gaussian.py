@@ -67,8 +67,9 @@ def excess_excitation(n_th: float, r: float, alpha: complex) -> float:
 
     (2 n_th + 1) sinh^2(r) for the squeeze plus |alpha|^2 for the
     displacement; the two contributions add because the displacement acts
-    after the squeeze on an already centred state. Takes unchecked numbers,
-    so that array callers can apply it row by row with libm's rounding.
+    after the squeeze on an already centred state. Takes unchecked numbers;
+    `cycles.excess_excitation_column` is its column form, and falls back to
+    it on the rows it cannot reproduce.
     """
     excess = (2.0 * n_th + 1.0) * math.sinh(r) ** 2
     return excess + abs(alpha) ** 2

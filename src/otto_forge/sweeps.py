@@ -23,10 +23,15 @@ decodes its samples in arrays from the raw words of its generator, bit for
 bit the values that sequential `Generator` calls give, evaluates each family
 with one kernel call and tallies its checks as array reductions. Every
 transcendental, power and complex modulus (delta_n, the occupations and
-temperatures) is a per-element `math` call, that is libm, in the scalar
+temperatures) comes from a column form in `cycles` that maps the libm
+function over the column, one Python `math` call per element, in the scalar
 path's expression order; numpy ufuncs do only + - * /, comparisons, abs, max
-and where, which round exactly like the scalar code. So a table or audit is
-byte-identical to one built row by row with the scalar evaluators.
+and where, which round exactly like the scalar code. The rows a column form
+cannot reproduce (those whose scalar call raises, or might overflow) are
+evaluated by the scalar function itself, those rows alone, and a column of
+one value (a sweep's base occupation, say) makes one scalar call. So a table
+or audit is byte-identical to one built row by row with the scalar
+evaluators.
 """
 
 from __future__ import annotations
@@ -51,13 +56,12 @@ from .cycles import (
     SqueezedThermalBath,
     StrokeLedger,
     check_applicable,
-    dressed_excess,
-    finite_displacement,
+    excess_excitation_column,
     ledger_columns,
+    libm_column,
+    occupation_column,
     rowwise,
 )
-from .gaussian import excess_excitation
-from .thermo import occupation
 
 # Each float column of the table, with the StrokeLedger and LedgerColumns
 # attribute it shows; the table puts them between axis and regime.
@@ -172,24 +176,21 @@ class SweepSpec:
         if axis in (SweepAxis.FREQUENCY_RATIO, SweepAxis.COLD_TEMPERATURE):
             return rowwise(bath.excess_for, errors, base.omega2, base.t2)
         # the axis moves the bath: the Gibbs state at n2 is dressed anew at each point
-        n2 = rowwise(occupation, errors, base.omega2, base.t2)
+        n2 = occupation_column(base.omega2, base.t2, errors)
+        r, alpha = 0.0, 0j
         if axis is SweepAxis.SQUEEZE_R:
-            def excess(n2, r):
-                return excess_excitation(n2, r, 0j)
+            r = grid
         elif axis is SweepAxis.DISPLACEMENT_MAG:
-            phase = bath.alpha / abs(bath.alpha) if bath.alpha else 1.0
-
-            def excess(n2, value):
-                return excess_excitation(n2, 0.0, finite_displacement(value * phase))
+            # Each part of value * phase is a product plus an exact zero in numpy as in
+            # Python, so |alpha| is the scalar one; the parts of phase are at most 1
+            # in size, so alpha is finite.
+            alpha = grid * (bath.alpha / abs(bath.alpha) if bath.alpha else 1.0)
         elif isinstance(bath, SqueezedThermalBath):
             # delta-n: re-solve the bath knob so the stroke-2 excess equals the axis value
-            def excess(n2, value):
-                r = math.asinh(math.sqrt(value / (2.0 * n2 + 1.0)))
-                return excess_excitation(n2, r, 0j)
+            r = libm_column(math.asinh, libm_column(math.sqrt, grid / (2.0 * n2 + 1.0)))
         else:
-            def excess(n2, value):
-                return excess_excitation(n2, 0.0, finite_displacement(math.sqrt(value)))
-        return rowwise(excess, errors, n2, grid)
+            alpha = libm_column(math.sqrt, grid)
+        return excess_excitation_column(n2, r, alpha, errors)
 
 
 class SweepRow:
@@ -444,8 +445,9 @@ def _decode(words: np.ndarray, base: list, tail: list, second: list, choice: lis
     second = drawn["second_kind"] = np.array(second, dtype=bool)
     first = ~second
     tail = np.array(tail)
-    n2 = np.array([occupation(*pair) for pair in zip(omega2[second].tolist(),
-                                                      t2[second].tolist())])
+    errors = np.full(np.count_nonzero(second), None, dtype=object)
+    n2 = occupation_column(omega2[second], t2[second], errors)
+    _raise_first_error(errors)
     drawn["excess"][second] = u[tail[second]] * (n2 + 2.0) - n2  # keeps n2 + excess >= 0
 
     # bath choice: thermal, squeezed, displaced, squeezed and displaced
@@ -489,6 +491,13 @@ def _draw_chunks(rng: np.random.Generator, family: str, sizes: Iterable[int]):
         yield drawn
 
 
+def _raise_first_error(errors: np.ndarray) -> None:
+    """Raise the exception of the first failed row, if any."""
+    failed = np.flatnonzero(np.not_equal(errors, None))
+    if failed.size:
+        raise errors[failed[0]]
+
+
 def _tally(
     counts: dict, columns: LedgerColumns, hot: np.ndarray, value: np.ndarray, bound: np.ndarray
 ) -> None:
@@ -497,9 +506,7 @@ def _tally(
     `value` (eta or COP) is checked against `bound` where it is not NaN;
     `hot` is each row's hot temperature for the Clausius sum.
     """
-    failed = np.flatnonzero(columns.failed)
-    if failed.size:
-        raise columns.errors[failed[0]]
+    _raise_first_error(columns.errors)
     if not len(columns):
         return
     residual = columns.law_residual
@@ -558,7 +565,10 @@ def _engine_bounds(columns: LedgerColumns, hot: np.ndarray) -> np.ndarray:
 def _audit_first_kind(drawn: np.ndarray, counts: dict) -> None:
     omega1, omega2, t1, t2 = (drawn[name] for name in ("omega1", "omega2", "t1", "t2"))
     errors = np.full(len(drawn), None, dtype=object)
-    dn = rowwise(dressed_excess, errors, omega2, t2, drawn["r"], drawn["alpha"])
+    # dressed_excess, a column at a time
+    dn = excess_excitation_column(
+        occupation_column(omega2, t2, errors), drawn["r"], drawn["alpha"], errors
+    )
     ledgers = ledger_columns(CycleKind.STANDARD, omega1, omega2, t1, t2, dn, errors)
     # the efficiency bound 1 - T1/Theta at the fictitious excitation parameter
     bound = _engine_bounds(ledgers, ledgers.excitation_temperatures())

@@ -217,6 +217,15 @@ class TestErgotropyCommand:
         assert payload["ergotropy"] == pytest.approx(15.75, rel=1e-12)
         assert payload["ergotropy_rel_dev"] < 1e-5
 
+    def test_passive_state_deviation_is_relative_to_its_energy(self, capsys):
+        code, out, _ = run_cli(capsys, "ergotropy", "--nth", "10", "--omega", "1", "--oracle")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ergotropy"] == 0.0
+        dev = abs(payload["ergotropy_fock"] - payload["ergotropy"]) / payload["energy"]
+        assert payload["ergotropy_rel_dev"] == dev
+        assert payload["ergotropy_rel_dev"] < 1e-12
+
 
 class TestAuditCommand:
     def test_small_campaign_passes(self, capsys):

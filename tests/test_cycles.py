@@ -37,12 +37,18 @@ from otto_forge import (
     second_kind_cycle,
     standard_cycle,
 )
+from otto_forge import cycles
 from otto_forge.cycles import (
     APPLICABLE_BATHS,
     CYCLE_EVALUATORS,
     ROW_ERRORS,
+    excess_excitation_column,
+    invert_occupation_column,
     ledger_columns,
+    occupation_column,
 )
+from otto_forge.gaussian import excess_excitation
+from otto_forge.thermo import invert_occupation
 
 # occupations at the worked parameter point omega1=7, omega2=20, T1=2, T2=10
 N1 = 0.031137659257799786
@@ -492,3 +498,126 @@ class TestColumnKernel:
                 continue
             ledger = CYCLE_EVALUATORS[kind](config)
             assert repr(columns.law(i)) == repr(audit_laws(ledger, config))
+
+
+class TestColumnForms:
+    """The column forms of occupation, invert_occupation and excess_excitation, row by row."""
+
+    # zeros, subnormals, the smallest normal, omega/T either side of 709, the
+    # edges of sinh's and the square's range, the double range, and
+    # non-finite and negative values
+    SPECIAL = (0.0, -0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 0.5, 1.0,
+               708.9999999999999, 709.0, 709.0000000000001, 710.0, 710.4758600739439,
+               711.0, 355.0, 356.0, 1e153, 1e154, 1.4e154, 1e308, 1.7976931348623157e308,
+               math.inf, -math.inf, math.nan, -1.0, -5e-324)
+    numbers = st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True)
+    ENTRY = InvalidExcess("failed on entry")
+
+    @staticmethod
+    @st.composite
+    def ratio_pairs(draw):
+        """(omega, T): either drawn apart, or omega = T * a ratio near 709."""
+        t = draw(TestColumnForms.numbers)
+        if draw(st.booleans()):
+            ratio = draw(st.sampled_from([708.9999999999999, 709.0, 709.0000000000001, 710.0]))
+            return (t * ratio, t)
+        return (draw(TestColumnForms.numbers), t)
+
+    def check(self, column_form, scalar, rows, shared=(), entry=()):
+        """column_form against `scalar` on `rows`: the columns in `shared` are passed as
+        the first row's value alone, the rows in `entry` have failed on entry."""
+        rows = [list(row) for row in rows]
+        width = len(rows[0])
+        for j in shared:
+            for row in rows[1:]:
+                row[j] = rows[0][j]
+        columns = [rows[0][j] if j in shared else [row[j] for row in rows] for j in range(width)]
+        errors = np.full(len(rows), None, dtype=object)
+        errors[list(entry)] = self.ENTRY
+        values = column_form(*columns, errors)
+        assert values.shape == (len(rows),)
+        for i, args in enumerate(rows):
+            try:
+                expected, raised = scalar(*args), None
+            except ROW_ERRORS as exc:
+                expected, raised = math.nan, exc
+            assert repr(values[i].item()) == repr(expected), args
+            if i in entry:
+                assert errors[i] is self.ENTRY
+            elif raised is None:
+                assert errors[i] is None, args
+            else:
+                assert (type(errors[i]), str(errors[i])) == (type(raised), str(raised)), args
+
+    def draw_check(self, data, column_form, scalar, rows):
+        """`check` with drawn broadcast columns and rows failed on entry."""
+        width, n = len(rows[0]), len(rows)
+        shared = data.draw(st.sets(st.integers(0, width - 1), max_size=width))
+        entry = data.draw(st.sets(st.integers(0, n - 1)))
+        self.check(column_form, scalar, rows, shared, entry)
+
+    def test_special_values(self):
+        """Every pair of special values in one column, and each row failed on entry too."""
+        pairs = [(a, b) for a in self.SPECIAL for b in self.SPECIAL]
+        ratios = [(t * k, t) for t in self.SPECIAL for k in (708.9999999999999, 709.0, 710.0)]
+        parts = (0.0, 1.0, -3.0, 1e153, 1e154, 1e308, math.inf, math.nan)
+        excess = [(n, r, complex(a, b)) for n in (0.0, 1.0, 1e308, math.nan)
+                  for r in self.SPECIAL for a in parts for b in parts]
+        for column_form, scalar, rows in (
+            (occupation_column, occupation, pairs + ratios),
+            (invert_occupation_column, invert_occupation, pairs),
+            (excess_excitation_column, excess_excitation, excess),
+        ):
+            self.check(column_form, scalar, rows)
+            self.check(column_form, scalar, rows, entry=range(0, len(rows), 3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_occupation(self, data):
+        rows = data.draw(st.lists(self.ratio_pairs(), min_size=1, max_size=16))
+        self.draw_check(data, occupation_column, occupation, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_invert_occupation(self, data):
+        rows = data.draw(st.lists(st.tuples(self.numbers, self.numbers), min_size=1, max_size=16))
+        self.draw_check(data, invert_occupation_column, invert_occupation, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_excess_excitation(self, data):
+        alphas = st.builds(complex, self.numbers, self.numbers)
+        rows = data.draw(st.lists(
+            st.tuples(self.numbers, self.numbers, alphas), min_size=1, max_size=16))
+        self.draw_check(data, excess_excitation_column, excess_excitation, rows)
+
+    @pytest.fixture
+    def counted_occupation(self, monkeypatch):
+        calls = []
+
+        def counted(omega, t):
+            calls.append((omega, t))
+            return occupation(omega, t)
+
+        monkeypatch.setattr(cycles, "occupation", counted)
+        return calls
+
+    def test_valid_rows_make_no_scalar_call(self, counted_occupation):
+        rng = np.random.default_rng(5)
+        n = 10**4
+        omega2 = rng.uniform(1.0, 100.0, n)
+        omega1 = omega2 * rng.uniform(1e-3, 1.0, n)
+        t2 = rng.uniform(0.0, 50.0, n)
+        t1 = t2 * rng.uniform(0.0, 1.0, n)
+        # omega1/T1 underflows to 0 on these rows: expm1 is 0, and the scalar
+        # occupation raises ZeroDivisionError
+        fallback = [3, 4000, 9999]
+        omega1[fallback], t1[fallback] = 5e-324, 10.0
+        columns = ledger_columns(CycleKind.STANDARD, omega1, omega2, t1, t2, 0.1)
+        assert len(counted_occupation) == len(fallback)
+        assert np.flatnonzero(columns.failed).tolist() == fallback
+        assert all(isinstance(columns.errors[i], ZeroDivisionError) for i in fallback)
+
+    def test_one_row_makes_one_scalar_call_per_column(self, counted_occupation):
+        ledger_columns(CycleKind.STANDARD, 7.0, 20.0, 2.0, 10.0, 0.3)
+        assert counted_occupation == [(7.0, 2.0), (20.0, 10.0)]

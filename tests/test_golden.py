@@ -1,4 +1,4 @@
-"""Byte-exact outputs: the README's fig2 and fig5 tables and six audit summaries.
+"""Byte-exact outputs: the README's fig2 and fig5 tables, two edge sweeps and six audit summaries.
 
 Each SHA-256 pins every byte of one command's output. A change to any of
 them changes a published number, so it must be deliberate and recorded.
@@ -15,6 +15,11 @@ from otto_forge.cli import main
 README_POINT = ["--omega1", "7", "--omega2", "20", "--t1", "2", "--t2", "10",
                 "--bath", "squeezed:0.5"]
 
+# A cold-temperature sweep from T1 = 0 on the README's T2 and bath: its rows
+# take the exact branches and error paths of the scalar occupation.
+EDGE_SWEEP = ["--omega2", "20", "--t1", "0", "--t2", "10", "--bath", "squeezed:0.5",
+              "--axis", "cold-temperature", "--start", "0"]
+
 GOLDEN = {
     "fig5": (
         ["sweep", *README_POINT, "--cycle", "modified", "--axis", "delta-n",
@@ -25,6 +30,17 @@ GOLDEN = {
         ["sweep", *README_POINT, "--cycle", "standard", "--axis", "frequency-ratio",
          "--start", "0.0001", "--stop", "1", "--steps", "10000"],
         "830d48c9109e4a74eb3fe51f933bbd053522875b04c03b669c4f488e830a368f",
+    ),
+    # 9 ZeroDivisionError rows (omega1/T1 underflows to 0), 1 OverflowError
+    # row (1/expm1 of a subnormal is inf) and the T1 = 0 ledger
+    "edge-underflow": (
+        ["sweep", "--omega1", "5e-324", *EDGE_SWEEP, "--stop", "10", "--steps", "11"],
+        "c8d17be0e4edb53321f625ece6afec81d765a0d69f735036c93eee3e6ccd1f6e",
+    ),
+    # T1 = 0, then omega1/T1 > 709: the exp(-x) branch
+    "edge-cold": (
+        ["sweep", "--omega1", "7", *EDGE_SWEEP, "--stop", "0.02", "--steps", "9"],
+        "50a056a41f79ec5d1f47121cba516f93acd252ea161afbc8b088f7eec5997748",
     ),
     "audit-first-kind": (
         ["audit", "--samples", "2000", "--seed", "42", "--family", "first-kind"],
