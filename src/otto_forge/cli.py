@@ -242,8 +242,8 @@ def _cmd_ergotropy(args: argparse.Namespace) -> int:
         density = search_density(state, args.tail_tol)
         oracle_w = ergotropy_of_density(density, omega)
         oracle_s = entropy_fock(density)
-        # a passive state's ergotropy is 0: its deviation is read against its energy
-        scale = max(analytic, 1e-9) if analytic > 0.0 else payload["energy"]
+        # an ergotropy at most 1e-9 of the energy is round-off: divide by the energy
+        scale = analytic if analytic > 1e-9 * payload["energy"] else payload["energy"]
         payload.update(
             {
                 "oracle_cutoff": density.dim,

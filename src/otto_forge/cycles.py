@@ -36,19 +36,19 @@ with the regime and efficiency rules applied as masks. The scalar
 evaluators, sweeps and audits all call it; a scalar evaluation is a size-1
 call. Its transcendentals come from the column forms of the thermo and
 gaussian functions (`occupation_column`, `invert_occupation_column`,
-`excess_excitation_column`). Each maps every libm function the scalar code
-calls (expm1, exp, log1p, sinh, pow for ** 2, abs of a complex) over the
-column's values, one Python call per element, through `libm_column`,
-because numpy's vectorised loops differ from libm by an ulp or two on some
-inputs, which the cancellation in Q2 = omega2 (n2 - n1) amplifies. Only
-+ - * /, comparisons, abs, max and where run as numpy ufuncs, in the scalar
-code's order, and they round exactly as the scalar expressions do. The rows
-whose scalar call raises (a failed check, or a division by expm1(x) = 0),
-or that the column form cannot vouch for (an overflow it would have to
-guess), are evaluated by `rowwise` with the scalar function, those rows
-alone, so the scalar functions stay the one definition of every branch,
-check and message. A column call whose inputs hold one value (one row, or
-broadcasts) makes one scalar call.
+`excess_excitation_column`): each is one call of `rowwise`, the one way a
+scalar function runs over rows, with a fast path. Columns that hold one
+value (one row, or broadcasts) make one scalar call. Otherwise the fast path
+maps every libm function the scalar code calls (expm1, exp, log1p, sinh, pow
+for ** 2, abs of a complex) over the column, one Python call per element,
+through `libm_column`, because numpy's vectorised loops differ from libm by
+an ulp or two on some inputs, which the cancellation in
+Q2 = omega2 (n2 - n1) amplifies. Only + - * /, comparisons, abs, max and
+where run as numpy ufuncs, in the scalar code's order, and round as it does.
+The rows whose scalar call raises (a failed check, or a division by
+expm1(x) = 0) or that the fast path cannot vouch for (an overflow it would
+have to guess) go to the scalar function, those rows alone, so the scalar
+functions stay the one definition of every branch, check and message.
 """
 
 from __future__ import annotations
@@ -360,35 +360,46 @@ def _fail(errors: np.ndarray, mask: np.ndarray, exc: Exception) -> None:
     errors[rows[np.equal(errors[rows], None)]] = exc
 
 
-def rowwise(fn: Callable[..., float], errors: np.ndarray, *columns) -> np.ndarray:
+def rowwise(fn: Callable[..., float], errors: np.ndarray, *columns, fast=None) -> np.ndarray:
     """`fn` applied to each row of the broadcast columns, as len(errors) floats.
 
-    Each call gets Python numbers, so its transcendentals run through libm
-    exactly as in a scalar call. Columns that hold one value (scalars or
-    broadcasts) are evaluated once. The column forms below use it for the
-    rows they leave to the scalar code. A row whose call raises one of
-    ROW_ERRORS gets NaN, and the exception in `errors` unless the row has
-    already failed.
+    Each call gets Python numbers, so libm rounds as in a scalar call.
+    Columns that hold one value (one row, scalars or broadcasts) make one
+    call, with each column's first value. Otherwise `fast`, if given, gets
+    the columns as length-n float (or complex) arrays, with numpy warnings
+    off, and returns the values and a mask of the rows it leaves to `fn`,
+    which then runs on those rows alone (on every row without `fast`). A row
+    whose call raises one of ROW_ERRORS gets NaN, and the exception in
+    `errors` unless the row has already failed.
     """
     n = len(errors)
+    if not n:
+        return np.empty(0)
     columns = [np.asarray(c) for c in columns]
-    if n and _one_value(errors, columns):
+    if n == 1 or all(c.ndim == 0 or c.strides[0] == 0 for c in columns):
         try:
             value = fn(*(c.item(0) for c in columns))
         except ROW_ERRORS as exc:
             value = math.nan
             _fail(errors, np.ones(n, dtype=bool), exc)
         return np.full(n, value, dtype=float)
-    lists = [c.tolist() if c.ndim else [c.item()] * n for c in columns]
-    values = []
-    for i, args in enumerate(zip(*lists)):
+    columns = [_column(np.asarray(c, complex if np.iscomplexobj(c) else float), n) for c in columns]
+    if fast is None:
+        values, left = np.empty(n), np.ones(n, dtype=bool)
+    else:
+        with np.errstate(all="ignore"):
+            values, left = fast(*columns)
+    rows = np.flatnonzero(left)
+    results = []
+    for i, args in zip(rows.tolist(), zip(*(c[rows].tolist() for c in columns))):
         try:
-            values.append(fn(*args))
+            results.append(fn(*args))
         except ROW_ERRORS as exc:
-            values.append(math.nan)
+            results.append(math.nan)
             if errors[i] is None:
                 errors[i] = exc
-    return np.array(values, dtype=float)
+    values[rows] = results
+    return values
 
 
 def libm_column(fn: Callable[..., float], column: np.ndarray, *args) -> np.ndarray:
@@ -400,50 +411,25 @@ def libm_column(fn: Callable[..., float], column: np.ndarray, *args) -> np.ndarr
     return np.array(list(map(fn, column.tolist(), *map(itertools.repeat, args))), dtype=float)
 
 
-def _one_value(errors: np.ndarray, columns) -> bool:
-    """Whether the columns need one evaluation: one row, or one value each (scalars or broadcasts)."""
-    return len(errors) <= 1 or all(
-        c.ndim == 0 or c.strides[0] == 0 for c in map(np.asarray, columns)
-    )
-
-
-def _fall_back(fn, errors: np.ndarray, values: np.ndarray, mask: np.ndarray, *columns):
-    """`values`, with the masked rows evaluated by rowwise(fn, ...) one call per row."""
-    rows = np.flatnonzero(mask)
-    if rows.size:
-        row_errors = errors[rows]
-        values[rows] = rowwise(fn, row_errors, *(c[rows] for c in columns))
-        errors[rows] = row_errors
-    return values
-
-
-def _positive(omega: np.ndarray) -> np.ndarray:
-    """The rows that pass thermo's frequency check."""
-    return np.isfinite(omega) & (omega > 0.0)
-
-
 def occupation_column(omega, t, errors: np.ndarray) -> np.ndarray:
     """occupation(omega, t) of each row, bit for bit, as len(errors) floats.
 
-    omega and t broadcast to len(errors) rows. A row whose scalar call
-    raises gets NaN, and the exception in `errors` unless it has already
-    failed, as in rowwise.
+    omega and t broadcast to len(errors) rows; failed rows as in rowwise.
     """
-    if _one_value(errors, (omega, t)):
-        return rowwise(occupation, errors, omega, t)
-    n = len(errors)
-    omega, t = (_column(np.asarray(x, dtype=float), n) for x in (omega, t))
-    with np.errstate(all="ignore"):
-        valid = _positive(omega) & np.isfinite(t) & (t >= 0.0)
-        x = omega / t
-        warm = valid & (t > 0.0)  # T = 0 holds exactly 0
-        tail = warm & (x > _EXP_OVERFLOW)
-        body = warm & ~tail
-        expm1 = libm_column(math.expm1, np.where(body, x, 1.0))
-        values = np.where(body, 1.0 / expm1, 0.0)
-        if tail.any():
-            values[tail] = libm_column(math.exp, -x[tail])
-    return _fall_back(occupation, errors, values, ~valid | (body & (expm1 == 0.0)), omega, t)
+    return rowwise(occupation, errors, omega, t, fast=_occupation_fast)
+
+
+def _occupation_fast(omega, t):
+    valid = np.isfinite(omega) & (omega > 0.0) & np.isfinite(t) & (t >= 0.0)
+    x = omega / t
+    warm = valid & (t > 0.0)  # T = 0 holds exactly 0
+    tail = warm & (x > _EXP_OVERFLOW)
+    body = warm & ~tail
+    expm1 = libm_column(math.expm1, np.where(body, x, 1.0))
+    values = np.where(body, 1.0 / expm1, 0.0)
+    if tail.any():
+        values[tail] = libm_column(math.exp, -x[tail])
+    return values, ~valid | (body & (expm1 == 0.0))
 
 
 def invert_occupation_column(omega, n, errors: np.ndarray) -> np.ndarray:
@@ -451,17 +437,14 @@ def invert_occupation_column(omega, n, errors: np.ndarray) -> np.ndarray:
 
     Broadcasting and failed rows as in `occupation_column`.
     """
-    if _one_value(errors, (omega, n)):
-        return rowwise(invert_occupation, errors, omega, n)
-    omega, n = (_column(np.asarray(x, dtype=float), len(errors)) for x in (omega, n))
-    with np.errstate(all="ignore"):
-        valid = _positive(omega) & np.isfinite(n) & (n >= 0.0)
-        excited = valid & (n != 0.0)  # n = 0 maps back to T = 0
-        log1p = libm_column(math.log1p, np.where(excited, 1.0 / n, 1.0))
-        values = np.where(excited, omega / log1p, 0.0)
-    return _fall_back(
-        invert_occupation, errors, values, ~valid | (excited & (log1p == 0.0)), omega, n
-    )
+    return rowwise(invert_occupation, errors, omega, n, fast=_invert_occupation_fast)
+
+
+def _invert_occupation_fast(omega, n):
+    valid = np.isfinite(omega) & (omega > 0.0) & np.isfinite(n) & (n >= 0.0)
+    excited = valid & (n != 0.0)  # n = 0 maps back to T = 0
+    log1p = libm_column(math.log1p, np.where(excited, 1.0 / n, 1.0))
+    return np.where(excited, omega / log1p, 0.0), ~valid | (excited & (log1p == 0.0))
 
 
 # Bounds within which sinh(r), its square and |alpha|^2 stay in the double
@@ -477,26 +460,23 @@ def excess_excitation_column(n_th, r, alpha, errors: np.ndarray) -> np.ndarray:
     Broadcasting and failed rows as in `occupation_column`. sinh(0)^2 and
     |0|^2 are exactly 0, so libm runs only on the squeezed and the displaced rows.
     """
-    if _one_value(errors, (n_th, r, alpha)):
-        return rowwise(excess_excitation, errors, n_th, r, alpha)
-    n = len(errors)
-    n_th, r = (_column(np.asarray(x, dtype=float), n) for x in (n_th, r))
-    alpha = _column(np.asarray(alpha, dtype=complex), n)
-    with np.errstate(all="ignore"):
-        scalar = ~(
-            (np.abs(r) <= _SINH_ARGUMENT)
-            & (np.abs(alpha.real) <= _ALPHA_PART) & (np.abs(alpha.imag) <= _ALPHA_PART)
-        )
-        squeezed = np.flatnonzero(~scalar & (r != 0.0))
-        sinh = libm_column(math.sinh, r[squeezed])
-        too_large = np.abs(sinh) > _SQUARED
-        scalar[squeezed[too_large]] = True
-        squeeze, displacement = np.zeros(n), np.zeros(n)
-        squeeze[squeezed[~too_large]] = libm_column(pow, sinh[~too_large], 2)
-        displaced = np.flatnonzero(~scalar & (alpha != 0.0))
-        displacement[displaced] = libm_column(pow, libm_column(abs, alpha[displaced]), 2)
-        values = (2.0 * n_th + 1.0) * squeeze + displacement
-    return _fall_back(excess_excitation, errors, values, scalar, n_th, r, alpha)
+    return rowwise(excess_excitation, errors, n_th, r, alpha, fast=_excess_excitation_fast)
+
+
+def _excess_excitation_fast(n_th, r, alpha):
+    scalar = ~(
+        (np.abs(r) <= _SINH_ARGUMENT)
+        & (np.abs(alpha.real) <= _ALPHA_PART) & (np.abs(alpha.imag) <= _ALPHA_PART)
+    )
+    squeezed = np.flatnonzero(~scalar & (r != 0.0))
+    sinh = libm_column(math.sinh, r[squeezed])
+    too_large = np.abs(sinh) > _SQUARED
+    scalar[squeezed[too_large]] = True
+    squeeze, displacement = np.zeros(len(r)), np.zeros(len(r))
+    squeeze[squeezed[~too_large]] = libm_column(pow, sinh[~too_large], 2)
+    displaced = np.flatnonzero(~scalar & (alpha != 0.0))
+    displacement[displaced] = libm_column(pow, libm_column(abs, alpha[displaced]), 2)
+    return (2.0 * n_th + 1.0) * squeeze + displacement, scalar
 
 
 @dataclass(eq=False)

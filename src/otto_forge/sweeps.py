@@ -23,15 +23,15 @@ decodes its samples in arrays from the raw words of its generator, bit for
 bit the values that sequential `Generator` calls give, evaluates each family
 with one kernel call and tallies its checks as array reductions. Every
 transcendental, power and complex modulus (delta_n, the occupations and
-temperatures) comes from a column form in `cycles` that maps the libm
-function over the column, one Python `math` call per element, in the scalar
-path's expression order; numpy ufuncs do only + - * /, comparisons, abs, max
-and where, which round exactly like the scalar code. The rows a column form
-cannot reproduce (those whose scalar call raises, or might overflow) are
-evaluated by the scalar function itself, those rows alone, and a column of
-one value (a sweep's base occupation, say) makes one scalar call. So a table
-or audit is byte-identical to one built row by row with the scalar
-evaluators.
+temperatures) comes from a column form in `cycles`: one `cycles.rowwise`
+call, the one way a scalar function runs over rows. A column of one value (a
+sweep's base occupation, say) makes one scalar call; otherwise the fast path
+maps the libm function over the column, one Python `math` call per element,
+in the scalar path's expression order, and numpy ufuncs do only + - * /,
+comparisons, abs, max and where, which round exactly like the scalar code.
+The rows it cannot reproduce (whose scalar call raises, or might overflow)
+go to the scalar function itself, those rows alone. So a table or audit is
+byte-identical to one built row by row with the scalar evaluators.
 """
 
 from __future__ import annotations

@@ -226,6 +226,29 @@ class TestErgotropyCommand:
         assert payload["ergotropy_rel_dev"] == dev
         assert payload["ergotropy_rel_dev"] < 1e-12
 
+    # an ergotropy below 1e-16 of the energy, under the oracle's round-off
+    @pytest.mark.parametrize("dressing", [("--r", "1e-10"), ("--alpha-re", "1e-8")])
+    def test_nearly_passive_state_deviation_is_relative_to_its_energy(self, capsys, dressing):
+        code, out, _ = run_cli(
+            capsys, "ergotropy", "--nth", "10", *dressing, "--omega", "1", "--oracle"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        dev = abs(payload["ergotropy_fock"] - payload["ergotropy"]) / payload["energy"]
+        assert payload["ergotropy_rel_dev"] == dev
+        assert dev < 1e-12
+
+    def test_deviation_does_not_depend_on_the_unit_of_energy(self, capsys):
+        devs = []
+        for omega in ("3", "3e-12"):
+            code, out, _ = run_cli(
+                capsys, "ergotropy", "--nth", "0.2", "--r", "0.5", "--alpha-re", "1",
+                "--omega", omega, "--oracle",
+            )
+            assert code == 0
+            devs.append(json.loads(out)["ergotropy_rel_dev"])
+        assert abs(devs[0] - devs[1]) < 1e-14
+
 
 class TestAuditCommand:
     def test_small_campaign_passes(self, capsys):
@@ -266,6 +289,22 @@ class TestAuditCommand:
          "--start", "0.1", "--stop", "1", "--steps", "3", {"out": [1]}),
         ("cycle", *FIG5, {"bath": {"squeezed": 0.5}}),
         ("audit", "--samples", "1000000000000", "--seed", "1"),
+        ("cycle", *FIG5, "--bath", "thermal:1"),
+        ("cycle", *FIG5, "--bath", "second-kind:0.1+squeezed:0.5"),
+        ("cycle", *FIG5, "--bath", "squeezed:-1"),
+        ("cycle", "--omega1", "7", "--omega2", "20", "--t1", "-1", "--t2", "10",
+         "--bath", "thermal"),
+        ("cycle", "--omega1", "7", "--omega2", "20", "--t1", "0", "--t2", "-1",
+         "--bath", "thermal"),
+        # argparse reads "-inf" as a flag
+        ("sweep", *FIG5, "--bath", "thermal", "--axis", "frequency-ratio",
+         "--start", "0.1", "--stop", "inf", "--steps", "3"),
+        ("sweep", *FIG5, "--bath", "squeezed:0.5", "--axis", "delta-n",
+         "--start", "-1", "--stop", "1", "--steps", "3"),
+        ("sweep", *FIG5, "--bath", "squeezed:0.5", "--axis", "squeeze-r",
+         "--start", "-1", "--stop", "1", "--steps", "3"),
+        ("sweep", *FIG5, "--bath", "displaced:1,0", "--axis", "displacement",
+         "--start", "-1", "--stop", "1", "--steps", "3"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, monkeypatch, tmp_path, argv):

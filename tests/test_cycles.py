@@ -46,6 +46,7 @@ from otto_forge.cycles import (
     invert_occupation_column,
     ledger_columns,
     occupation_column,
+    rowwise,
 )
 from otto_forge.gaussian import excess_excitation
 from otto_forge.thermo import invert_occupation
@@ -621,3 +622,8 @@ class TestColumnForms:
     def test_one_row_makes_one_scalar_call_per_column(self, counted_occupation):
         ledger_columns(CycleKind.STANDARD, 7.0, 20.0, 2.0, 10.0, 0.3)
         assert counted_occupation == [(7.0, 2.0), (20.0, 10.0)]
+
+    def test_without_a_fast_path_every_row_makes_a_scalar_call(self):
+        rows = [(7.0, 2.0), (-1.0, 2.0), (20.0, 10.0), (5e-324, 10.0)]
+        self.check(lambda omega, t, errors: rowwise(occupation, errors, omega, t),
+                   occupation, rows, shared=[1], entry=[2])

@@ -276,6 +276,32 @@ class TestFailedRows:
             "square": {"OverflowError: (34, 'Numerical result out of range')"},
         }
 
+    # sinh(1e-160)^2 = 1e-320 is the hybrid engine's excess, and omega2 * excess
+    # underflows to 0: its efficiency has no divisor
+    VANISHING_DIVISOR = [
+        "--omega1", "1e-300", "--omega2", "1e-300", "--t1", "0", "--t2", "0",
+        "--bath", "squeezed:1e-160", "--cycle", "modified",
+    ]
+
+    def test_vanishing_hybrid_divisor_is_a_physics_error(self, capsys):
+        code = main(["cycle", *self.VANISHING_DIVISOR])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == "physics error: ZeroDivisionError: float division by zero\n"
+
+    def test_vanishing_hybrid_divisor_is_the_row_error(self, capsys):
+        code = main([
+            "sweep", *self.VANISHING_DIVISOR,
+            "--axis", "squeeze-r", "--start", "0", "--stop", "1e-160", "--steps", "3",
+        ])
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out, newline="")))
+        assert code == 0
+        # r = 0 leaves nothing to undo: the standard ledger, without W3'
+        assert (rows[0]["regime"], rows[0]["W3_prime"]) == ("SubCarnotHybridEngine", "")
+        assert [row["regime"] for row in rows[1:]] == [
+            "error:ZeroDivisionError: float division by zero"
+        ] * 2
+
 
     # occupation(1e-300, 1e308) divides by expm1(1e-608) = 0
     @pytest.mark.parametrize("cycle", ["standard", "modified"])
