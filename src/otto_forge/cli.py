@@ -242,8 +242,10 @@ def _cmd_ergotropy(args: argparse.Namespace) -> int:
         density = search_density(state, args.tail_tol)
         oracle_w = ergotropy_of_density(density, omega)
         oracle_s = entropy_fock(density)
-        # an ergotropy at most 1e-9 of the energy is round-off: divide by the energy
+        # an ergotropy at most 1e-9 of the energy is round-off: divide by the
+        # energy, unless that underflowed to 0 too (then the deviation is absolute)
         scale = analytic if analytic > 1e-9 * payload["energy"] else payload["energy"]
+        deviation = abs(oracle_w - analytic)
         payload.update(
             {
                 "oracle_cutoff": density.dim,
@@ -251,7 +253,7 @@ def _cmd_ergotropy(args: argparse.Namespace) -> int:
                 "ergotropy_fock": oracle_w,
                 "entropy_fock": oracle_s,
                 "thermal_entropy": thermal_entropy(state.n_th),
-                "ergotropy_rel_dev": abs(oracle_w - analytic) / scale,
+                "ergotropy_rel_dev": deviation / scale if scale else deviation,
                 "entropy_dev": abs(oracle_s - thermal_entropy(state.n_th)),
             }
         )

@@ -408,7 +408,8 @@ def libm_column(fn: Callable[..., float], column: np.ndarray, *args) -> np.ndarr
     Each call gets a Python number, so libm rounds it as in a scalar call.
     `fn` must not raise on any element.
     """
-    return np.array(list(map(fn, column.tolist(), *map(itertools.repeat, args))), dtype=float)
+    values = map(fn, column.tolist(), *map(itertools.repeat, args))
+    return np.fromiter(values, dtype=float, count=len(column))
 
 
 def occupation_column(omega, t, errors: np.ndarray) -> np.ndarray:
@@ -578,7 +579,8 @@ def _defined(value: np.floating) -> float | None:
 
 
 def ledger_columns(
-    kind: CycleKind, omega1, omega2, t1, t2, dn, errors: np.ndarray | None = None
+    kind: CycleKind, omega1, omega2, t1, t2, dn, errors: np.ndarray | None = None,
+    n1=None, n2=None,
 ) -> LedgerColumns:
     """Every ledger column of the `kind` cycle, one row per element of the inputs.
 
@@ -589,14 +591,17 @@ def ledger_columns(
     with the rows that fail here: an invalid second-kind excess
     (InvalidExcess), a ledger entry beyond the double range (OverflowError)
     or a vanishing hybrid-engine denominator (ZeroDivisionError).
+    n1 and n2, if given, stand for `occupation_column(omega1, t1, errors)`
+    and `occupation_column(omega2, t2, errors)`, computed before the call
+    (in that order), with their failed rows already in `errors`.
     """
     inputs = [np.asarray(x, dtype=float) for x in (omega1, omega2, t1, t2, dn)]
     n = len(errors) if errors is not None else max(x.size for x in inputs)
     o1, o2, t1, t2, dn = (_column(x, n) for x in inputs)
     if errors is None:
         errors = np.full(n, None, dtype=object)
-    n1 = occupation_column(o1, t1, errors)
-    n2 = occupation_column(o2, t2, errors)
+    n1 = occupation_column(o1, t1, errors) if n1 is None else _column(np.asarray(n1, float), n)
+    n2 = occupation_column(o2, t2, errors) if n2 is None else _column(np.asarray(n2, float), n)
     # failed rows carry NaN and overflowing ones inf; both end up in `errors`
     with np.errstate(all="ignore"):
         if kind is CycleKind.SECOND_KIND:

@@ -375,55 +375,83 @@ _INEQUALITY_TOL = 1e-12
 # Samples drawn and evaluated at a time: bounds the memory of a campaign.
 _AUDIT_CHUNK = 2048
 
-# The largest campaign an audit accepts: about 8 minutes at 0.04-0.05 s per
-# 10^4 samples.
+# The largest campaign an audit accepts: about 2-4 minutes at 0.01-0.025 s
+# per 10^4 samples (in-process, 1 BLAS thread, a 2-core host).
 MAX_SAMPLES = 10**8
 
 
 # One drawn configuration: r and alpha dress a first-kind bath (thermal,
 # squeezed, displaced, or both); excess is a second-kind bath's delta_n.
+# n2 = occupation(omega2, T2) is the Gibbs occupation either bath starts from.
 _DRAW = np.dtype([
     ("omega1", float), ("omega2", float), ("t1", float), ("t2", float),
     ("second_kind", bool), ("r", float), ("alpha", complex), ("excess", float),
+    ("n2", float),
 ])
 
 
 def _layout(family: str, count: int, words: np.ndarray, half: int | None):
-    """Where each of `count` samples reads the raw `words`, in one integer-only pass.
+    """Where each of `count` samples reads the raw `words`, at least 8 per sample.
 
     `half` holds the top two bits of a buffered high half-word, or is None.
-    Returns the words used, the half left buffered, and per sample the index
-    of its first word, of its first word after the kind, its kind and its
-    bath choice.
+    Returns the words used, the half left buffered, and four arrays: per
+    sample the index of its first word, of its first word after the kind and
+    its kind; per first-kind sample its bath choice.
     """
+    if family == "second-kind":  # 4 uniforms and the excess factor
+        base = 5 * np.arange(count)
+        return 5 * count, half, (base, base + 4, np.ones(count, dtype=bool), np.empty(0, int))
     # the top two bits of each word's low and high 32-bit half
-    low = (words >> 30 & 3).astype(np.uint8).tobytes()
-    high = (words >> 62).astype(np.uint8).tobytes()
-    base, tail, second, choice = [], [], [], []
+    low, high = words >> 30 & 3, words >> 62
+    if family == "first-kind":
+        # 7 uniforms and integers(4): a sample that finds no half buffered reads
+        # an 8th word and buffers its high half, which the next sample takes
+        fresh = np.arange(count) % 2 == (half is not None)
+        sizes = 7 + fresh
+        ends = np.cumsum(sizes)
+        base = ends - sizes
+        # the first sample's index -1 stands for the half carried in
+        choice = np.where(fresh, low[base + 7], high[base - 1])
+        if half is not None:
+            choice[0] = half
+        last_half = high[ends[-1] - 1].item() if fresh[-1] else None
+        return ends[-1].item(), last_half, (base, base + 4, np.zeros(count, dtype=bool), choice)
+    # A sample whose first integers() call finds no half buffered reads a new
+    # word for it. A first-kind sample makes two calls and takes 8 words
+    # either way, so it leaves the buffer as it found it; a second-kind sample
+    # makes one and flips it, and takes 6 words if it read one, else 5.
+    second, last_half = _mixed_kinds(count, low, high, half)
+    fresh = (np.cumsum(second) - second) % 2 == (half is not None)
+    sizes = np.where(second, 5 + fresh, 8)
+    ends = np.cumsum(sizes)
+    base = ends - sizes
+    # a first-kind sample's choice takes the half its kind's word buffered, or
+    # reads the word after its 3 uniforms
+    first_base, first_fresh = base[~second], fresh[~second]
+    choice = np.where(first_fresh, high[first_base + 4], low[first_base + 7])
+    return ends[-1].item(), last_half, (base, base + 4 + fresh, second, choice)
+
+
+def _mixed_kinds(count: int, low: np.ndarray, high: np.ndarray, half: int | None):
+    """The kind of each `mixed` sample, walked in turn, and the half left buffered.
+
+    A sample's kind decides where the next one starts, so this walk is the
+    one sequential part of a layout.
+    """
+    low, high = low.astype(np.uint8).tobytes(), high.astype(np.uint8).tobytes()
+    kinds = bytearray(count)
     pos = 0
-    mixed, kind = family == "mixed", family == "second-kind"
-    for _ in range(count):
-        base.append(pos)
-        pos += 4
-        if mixed:
-            if half is None:  # integers(2): the top bit of a 32-bit half
-                bits, half, pos = low[pos], high[pos], pos + 1
-            else:
-                bits, half = half, None
-            kind = bits >> 1
-        tail.append(pos)
-        second.append(kind)
-        if kind:
-            pos += 1
-            choice.append(0)
-            continue
-        pos += 3
-        if half is None:  # integers(4): the top two bits of a 32-bit half
-            bits, half, pos = low[pos], high[pos], pos + 1
-        else:
-            bits, half = half, None
-        choice.append(bits)
-    return pos, half, (base, tail, second, choice)
+    for i in range(count):
+        if half is None:  # integers(2) reads the word after the 4 uniforms
+            if low[pos + 4] >> 1:  # second kind: its high half stays buffered
+                kinds[i], half, pos = 1, high[pos + 4], pos + 6
+            else:  # first kind: integers(4) takes that high half
+                pos += 8
+        elif half >> 1:  # second kind, from the buffered half
+            kinds[i], half, pos = 1, None, pos + 5
+        else:  # first kind: integers(4) reads the word after its 7 uniforms
+            half, pos = high[pos + 7], pos + 8
+    return np.frombuffer(kinds, dtype=bool), half
 
 
 def _uniform(lo: float, hi: float, u: np.ndarray) -> np.ndarray:
@@ -431,34 +459,47 @@ def _uniform(lo: float, hi: float, u: np.ndarray) -> np.ndarray:
     return lo + (hi - lo) * u
 
 
-def _decode(words: np.ndarray, base: list, tail: list, second: list, choice: list) -> np.ndarray:
+def _displacement(mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """`m * complex(math.cos(p), math.sin(p))` for each m in `mag`, p in `phase`, bit for bit."""
+    cos, sin = libm_column(math.cos, phase), libm_column(math.sin, phase)
+    alpha = np.empty(len(mag), dtype=complex)
+    # For m != 0 each part is the one product m * cos or m * sin (cos of a
+    # double is never 0), whichever rule Python's float * complex follows;
+    # for m == 0 the sign of a zero part depends on that rule.
+    alpha.real, alpha.imag = mag * cos, mag * sin
+    for i in np.flatnonzero(mag == 0.0).tolist():
+        alpha[i] = mag[i].item() * complex(cos[i].item(), sin[i].item())
+    return alpha
+
+
+def _decode(
+    words: np.ndarray, base: np.ndarray, tail: np.ndarray, second: np.ndarray, choice: np.ndarray
+) -> np.ndarray:
     """_DRAW records from the raw `words`, laid out by `_layout`."""
     u = (words >> 11) * 2.0**-53  # each word as a uniform draw in [0, 1)
     drawn = np.zeros(len(base), dtype=_DRAW)
-    base = np.array(base)
     omega2 = drawn["omega2"] = _uniform(1.0, 100.0, u[base])
     ratio = u[base + 1]
     drawn["omega1"] = omega2 * np.where(ratio > 0.0, ratio, 1e-6)
     t2 = drawn["t2"] = _uniform(0.0, 50.0, u[base + 2])
     drawn["t1"] = u[base + 3] * t2
-
-    second = drawn["second_kind"] = np.array(second, dtype=bool)
-    first = ~second
-    tail = np.array(tail)
-    errors = np.full(np.count_nonzero(second), None, dtype=object)
-    n2 = occupation_column(omega2[second], t2[second], errors)
+    errors = np.full(len(base), None, dtype=object)
+    n2 = drawn["n2"] = occupation_column(omega2, t2, errors)
     _raise_first_error(errors)
-    drawn["excess"][second] = u[tail[second]] * (n2 + 2.0) - n2  # keeps n2 + excess >= 0
+
+    drawn["second_kind"] = second
+    n2_second = n2[second]
+    drawn["excess"][second] = u[tail[second]] * (n2_second + 2.0) - n2_second  # n2 + excess >= 0
 
     # bath choice: thermal, squeezed, displaced, squeezed and displaced
-    tail, choice = tail[first], np.array(choice)[first]
+    first = np.flatnonzero(~second)
+    tail = tail[first]
     drawn["r"][first] = np.where(choice & 1, _uniform(0.0, 1.5, u[tail]), 0.0)
     displaced = choice >= 2
-    mag = _uniform(0.0, 3.0, u[tail + 1])[displaced].tolist()
-    phase = _uniform(0.0, 2.0 * math.pi, u[tail + 2])[displaced].tolist()
-    drawn["alpha"][np.flatnonzero(first)[displaced]] = [
-        m * complex(math.cos(p), math.sin(p)) for m, p in zip(mag, phase)
-    ]
+    tail = tail[displaced]
+    drawn["alpha"][first[displaced]] = _displacement(
+        _uniform(0.0, 3.0, u[tail + 1]), _uniform(0.0, 2.0 * math.pi, u[tail + 2])
+    )
     return drawn
 
 
@@ -550,8 +591,9 @@ def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSumma
     sizes = (min(_AUDIT_CHUNK, samples - start) for start in range(0, samples, _AUDIT_CHUNK))
     for drawn in _draw_chunks(rng, family, sizes):
         second = drawn["second_kind"]
-        _audit_first_kind(drawn[~second], counts)
-        _audit_second_kind(drawn[second], counts)
+        for rows, audit in ((~second, _audit_first_kind), (second, _audit_second_kind)):
+            if rows.any():  # a family with no rows in the chunk has nothing to audit
+                audit(drawn[rows], counts)
 
     return AuditSummary(samples=samples, seed=int(seed), family=family, **counts)
 
@@ -563,22 +605,23 @@ def _engine_bounds(columns: LedgerColumns, hot: np.ndarray) -> np.ndarray:
 
 
 def _audit_first_kind(drawn: np.ndarray, counts: dict) -> None:
-    omega1, omega2, t1, t2 = (drawn[name] for name in ("omega1", "omega2", "t1", "t2"))
+    omega1, omega2, t1, t2, n2 = (drawn[name] for name in ("omega1", "omega2", "t1", "t2", "n2"))
     errors = np.full(len(drawn), None, dtype=object)
     # dressed_excess, a column at a time
-    dn = excess_excitation_column(
-        occupation_column(omega2, t2, errors), drawn["r"], drawn["alpha"], errors
-    )
-    ledgers = ledger_columns(CycleKind.STANDARD, omega1, omega2, t1, t2, dn, errors)
+    dn = excess_excitation_column(n2, drawn["r"], drawn["alpha"], errors)
+    ledgers = ledger_columns(CycleKind.STANDARD, omega1, omega2, t1, t2, dn, errors, n2=n2)
     # the efficiency bound 1 - T1/Theta at the fictitious excitation parameter
     bound = _engine_bounds(ledgers, ledgers.excitation_temperatures())
+    # raises unless every row succeeded, so the modified call gets valid n1 and n2
     _tally(counts, ledgers, t2, ledgers.eta, bound)
+    n1 = ledgers.n1
     del ledgers, bound
 
     nonpassive = dn > 0.0
     t1, t2 = t1[nonpassive], t2[nonpassive]
     modified = ledger_columns(
-        CycleKind.MODIFIED, omega1[nonpassive], omega2[nonpassive], t1, t2, dn[nonpassive]
+        CycleKind.MODIFIED, omega1[nonpassive], omega2[nonpassive], t1, t2, dn[nonpassive],
+        n1=n1[nonpassive], n2=n2[nonpassive],
     )
     refrigerates = ~np.isnan(modified.cop) & (t2 > t1)
     cop_bound = np.divide(t1, t2 - t1, out=np.full(len(t1), np.nan), where=refrigerates)
@@ -588,7 +631,7 @@ def _audit_first_kind(drawn: np.ndarray, counts: dict) -> None:
 def _audit_second_kind(drawn: np.ndarray, counts: dict) -> None:
     ledgers = ledger_columns(
         CycleKind.SECOND_KIND, drawn["omega1"], drawn["omega2"], drawn["t1"], drawn["t2"],
-        drawn["excess"],
+        drawn["excess"], n2=drawn["n2"],
     )
     # the Carnot bound at the real temperature, which is also the Clausius sum's hot one
     hot = ledgers.excitation_temperatures()

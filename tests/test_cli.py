@@ -238,6 +238,15 @@ class TestErgotropyCommand:
         assert payload["ergotropy_rel_dev"] == dev
         assert dev < 1e-12
 
+    def test_deviation_is_absolute_where_the_energy_underflows(self, capsys):
+        # omega * (n_th + 1/2) rounds to 0: no scale to divide the deviation by
+        code, out, _ = run_cli(capsys, "ergotropy", "--nth", "0", "--omega", "5e-324", "--oracle")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["energy"] == 0.0
+        assert math.isfinite(payload["ergotropy_rel_dev"])
+        assert payload["ergotropy_rel_dev"] == abs(payload["ergotropy_fock"] - payload["ergotropy"])
+
     def test_deviation_does_not_depend_on_the_unit_of_energy(self, capsys):
         devs = []
         for omega in ("3", "3e-12"):

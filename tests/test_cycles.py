@@ -6,6 +6,7 @@ computed independently of the ledger code. The stroke-2 split into work and
 heat is additionally cross-checked against the Fock oracle.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -499,6 +500,42 @@ class TestColumnKernel:
                 continue
             ledger = CYCLE_EVALUATORS[kind](config)
             assert repr(columns.law(i)) == repr(audit_laws(ledger, config))
+
+
+    # (omega1, omega2, T1, T2, delta_n): an ordinary row; T1 = 0 and T1 = T2 = 0;
+    # omega1/T1, then both ratios, underflowing to 0, where expm1 is 0 and the
+    # occupation raises; 1/expm1 of a subnormal, n1 = inf; an overflowing W2;
+    # and excesses below -n2, which a second-kind ledger refuses
+    EDGE_ROWS = [
+        (7.0, 20.0, 2.0, 10.0, 0.3), (7.0, 20.0, 0.0, 10.0, 0.3), (7.0, 20.0, 0.0, 0.0, 0.3),
+        (5e-324, 20.0, 10.0, 10.0, 0.3), (5e-324, 5e-324, 10.0, 10.0, 0.3),
+        (5e-324, 20.0, 1.0, 10.0, 0.3), (7.0, 20.0, 2.0, 10.0, 1e308),
+        (7.0, 20.0, 2.0, 10.0, -1.0), (7.0, 20.0, 0.0, 0.0, -1e-300),
+    ]
+
+    @pytest.mark.parametrize("kind", list(CycleKind))
+    def test_precomputed_occupations_change_nothing(self, kind):
+        omega1, omega2, t1, t2, dn = map(np.array, zip(*self.EDGE_ROWS))
+
+        def evaluate(precomputed):
+            errors = np.full(len(dn), None, dtype=object)
+            occupations = {}
+            if precomputed:  # in the kernel's order, failures recorded in `errors`
+                occupations = dict(n1=occupation_column(omega1, t1, errors),
+                                   n2=occupation_column(omega2, t2, errors))
+            return ledger_columns(kind, omega1, omega2, t1, t2, dn, errors, **occupations)
+
+        given, computed = evaluate(True), evaluate(False)
+        for field in dataclasses.fields(cycles.LedgerColumns):
+            if field.name not in ("kind", "errors"):
+                assert (getattr(given, field.name).tobytes()
+                        == getattr(computed, field.name).tobytes()), field.name
+        outcomes = [[None if exc is None else (type(exc), str(exc)) for exc in columns.errors]
+                    for columns in (given, computed)]
+        assert outcomes[0] == outcomes[1]
+        raised = {outcome[0] for outcome in outcomes[0] if outcome is not None}
+        expected = {ZeroDivisionError, OverflowError}
+        assert raised == (expected | {InvalidExcess} if kind is CycleKind.SECOND_KIND else expected)
 
 
 class TestColumnForms:

@@ -28,14 +28,17 @@ from otto_forge import (
     occupation,
     run_sweep,
 )
+from otto_forge import sweeps
 from otto_forge.cli import main
 from otto_forge.cycles import CYCLE_EVALUATORS, ledger_columns
 from otto_forge.sweeps import (
+    _AUDIT_CHUNK,
     _BLOCK_ROWS,
     _DRAW,
     MAX_SAMPLES,
     TABLE_COLUMNS,
     SweepTable,
+    _displacement,
     _draw_chunks,
     ledger_record,
     sweep_blocks,
@@ -468,6 +471,24 @@ class TestAuditCampaign:
         with pytest.raises(ValueError, match="at most"):
             audit_campaign(MAX_SAMPLES + 1, seed=1)
 
+    # 5000 samples make 3 chunks; a family with no rows in a chunk is not audited
+    @pytest.mark.parametrize("family, first_calls, second_calls", [
+        ("first-kind", 3, 0), ("second-kind", 0, 3), ("mixed", 3, 3),
+    ])
+    def test_audits_only_the_families_a_chunk_holds(
+        self, monkeypatch, family, first_calls, second_calls
+    ):
+        expected = audit_campaign(5000, seed=7, family=family)
+        calls = dict.fromkeys(("_audit_first_kind", "_audit_second_kind"), 0)
+        for name in calls:
+            def counted(drawn, counts, audit=getattr(sweeps, name), name=name):
+                calls[name] += 1
+                assert len(drawn)
+                audit(drawn, counts)
+            monkeypatch.setattr(sweeps, name, counted)
+        assert audit_campaign(5000, seed=7, family=family) == expected
+        assert calls == {"_audit_first_kind": first_calls, "_audit_second_kind": second_calls}
+
 
 def reference_draw(rng, family):
     """One audit sample from sequential Generator calls, the order the decoder replays."""
@@ -477,17 +498,17 @@ def reference_draw(rng, family):
     t2 = rng.uniform(0.0, 50.0)
     t1 = rng.uniform(0.0, 1.0) * t2
     kind = family if family != "mixed" else ("first-kind", "second-kind")[rng.integers(2)]
+    n2 = occupation(omega2, t2)
     if kind == "second-kind":
-        n2 = occupation(omega2, t2)
         excess = rng.uniform(0.0, 1.0) * (n2 + 2.0) - n2
-        return omega1, omega2, t1, t2, True, 0.0, 0j, excess
+        return omega1, omega2, t1, t2, True, 0.0, 0j, excess, n2
     r = rng.uniform(0.0, 1.5)
     mag = rng.uniform(0.0, 3.0)
     phase = rng.uniform(0.0, 2.0 * math.pi)
     alpha = mag * complex(math.cos(phase), math.sin(phase))
     choice = rng.integers(4)  # thermal, squeezed, displaced, squeezed and displaced
     return (omega1, omega2, t1, t2, False,
-            r if choice in (1, 3) else 0.0, alpha if choice >= 2 else 0j, 0.0)
+            r if choice in (1, 3) else 0.0, alpha if choice >= 2 else 0j, 0.0, n2)
 
 
 class TestAuditDraws:
@@ -497,16 +518,39 @@ class TestAuditDraws:
     stream, so that such a change cannot move an audit silently.
     """
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        family=st.sampled_from(["first-kind", "second-kind", "mixed"]),
-        seed=st.sampled_from([0, 1, 2**64, 10**29 + 7]) | st.integers(0, 2**80),
-        # odd sizes leave a buffered half-word at a chunk boundary
-        sizes=st.lists(st.integers(0, 150).map(lambda k: 2 * k + 1), min_size=1, max_size=6),
-    )
-    def test_records_equal_sequential_calls(self, family, seed, sizes):
+    @staticmethod
+    def check_chunks(family, seed, sizes):
         rng = np.random.default_rng(seed)
         expected = np.array([reference_draw(rng, family) for _ in range(sum(sizes))], dtype=_DRAW)
         chunks = list(_draw_chunks(np.random.default_rng(seed), family, sizes))
         assert [len(chunk) for chunk in chunks] == sizes
         assert np.concatenate(chunks).tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(["first-kind", "second-kind", "mixed"]),
+        seed=st.sampled_from([0, 1, 2**64, 10**29 + 7]) | st.integers(0, 2**80),
+        # an odd first-kind chunk, and many mixed ones, leave a
+        # buffered half-word at a chunk boundary; an even first-kind one does not
+        sizes=st.lists(st.integers(1, 301), min_size=1, max_size=6),
+    )
+    def test_records_equal_sequential_calls(self, family, seed, sizes):
+        self.check_chunks(family, seed, sizes)
+
+    # chunks of the size an audit draws, with and without a half-word carried over
+    @pytest.mark.parametrize("family", ["first-kind", "second-kind", "mixed"])
+    @pytest.mark.parametrize("seed, sizes", [
+        (3, [_AUDIT_CHUNK, _AUDIT_CHUNK]),
+        (2**64, [_AUDIT_CHUNK - 1, _AUDIT_CHUNK + 1, _AUDIT_CHUNK]),
+        (10**29 + 7, [_AUDIT_CHUNK + 1, _AUDIT_CHUNK - 1, 1]),
+    ])
+    def test_audit_chunks_equal_sequential_calls(self, family, seed, sizes):
+        self.check_chunks(family, seed, sizes)
+
+    def test_displacement_keeps_python_zero_signs(self):
+        # m = 0 (a unit draw of exactly 0) gives zero parts whose signs follow
+        # Python's float * complex rule; other magnitudes are plain products
+        phase = np.array([0.0, 1.0, 2.0, 4.0, 5.0, 3.0, 0.5])
+        mag = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.5, 2.999])
+        expected = np.array([m * complex(math.cos(p), math.sin(p)) for m, p in zip(mag, phase)])
+        assert _displacement(mag, phase).tobytes() == expected.tobytes()
