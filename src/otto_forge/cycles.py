@@ -83,6 +83,14 @@ def dressed_excess(omega2: float, t2: float, r: float, alpha: complex) -> float:
 class _FirstKindBath:
     """A bath that leaves the working fluid in its Gibbs state dressed by the bath's r and alpha."""
 
+    def __post_init__(self) -> None:
+        if "alpha" in vars(self):  # a field, not the class's 0j
+            object.__setattr__(self, "alpha", complex(self.alpha))
+        if not math.isfinite(self.r) or self.r < 0.0:
+            raise ValueError(f"squeezing amplitude must be non-negative, got {self.r!r}")
+        if not (math.isfinite(self.alpha.real) and math.isfinite(self.alpha.imag)):
+            raise ValueError(f"displacement must be finite, got {self.alpha!r}")
+
     def excess_for(self, omega2: float, t2: float) -> float:
         return dressed_excess(omega2, t2, self.r, self.alpha)
 
@@ -95,24 +103,12 @@ class ThermalBath(_FirstKindBath):
     alpha: ClassVar[complex] = 0j
 
 
-def finite_displacement(alpha: complex) -> complex:
-    """alpha as a complex number; ValueError unless both parts are finite."""
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise ValueError(f"displacement must be finite, got {alpha!r}")
-    return alpha
-
-
 @dataclass(frozen=True)
 class SqueezedThermalBath(_FirstKindBath):
     """Squeezed thermal bath; drives the working fluid to a squeezed thermal state."""
 
     r: float
     alpha: ClassVar[complex] = 0j
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise ValueError(f"squeezing amplitude must be non-negative, got {self.r!r}")
 
 
 @dataclass(frozen=True)
@@ -122,9 +118,6 @@ class DisplacedThermalBath(_FirstKindBath):
     r: ClassVar[float] = 0.0
     alpha: complex
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", finite_displacement(self.alpha))
-
 
 @dataclass(frozen=True)
 class SqueezedDisplacedBath(_FirstKindBath):
@@ -132,12 +125,6 @@ class SqueezedDisplacedBath(_FirstKindBath):
 
     r: float
     alpha: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise ValueError(f"squeezing amplitude must be non-negative, got {self.r!r}")
-        finite_displacement(self.alpha)
 
 
 @dataclass(frozen=True)

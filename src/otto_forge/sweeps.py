@@ -19,19 +19,20 @@ columns of its axis, makes one call of the ledger kernel,
 columns, so its memory does not grow with the steps. One map from table
 column to ledger attribute gives `TABLE_COLUMNS`, the cells of a block and
 `ledger_record`, the same columns read from one StrokeLedger. An audit
-decodes its samples in arrays from the raw words of its generator, bit for
-bit the values that sequential `Generator` calls give, evaluates each family
-with one kernel call and tallies its checks as array reductions. Every
-transcendental, power and complex modulus (delta_n, the occupations and
-temperatures) comes from a column form in `cycles`: one `cycles.rowwise`
-call, the one way a scalar function runs over rows. A column of one value (a
-sweep's base occupation, say) makes one scalar call; otherwise the fast path
-maps the libm function over the column, one Python `math` call per element,
-in the scalar path's expression order, and numpy ufuncs do only + - * /,
-comparisons, abs, max and where, which round exactly like the scalar code.
-The rows it cannot reproduce (whose scalar call raises, or might overflow)
-go to the scalar function itself, those rows alone. So a table or audit is
-byte-identical to one built row by row with the scalar evaluators.
+draws one matrix of uniforms per chunk of samples, a row per sample, decodes
+it with array arithmetic, evaluates each family with one kernel call and
+tallies its checks as array reductions. Every transcendental, power and
+complex modulus (delta_n, the occupations and temperatures) comes from a
+column form in `cycles`: one `cycles.rowwise` call, the one way a scalar
+function runs over rows. A column of one value (a sweep's base occupation,
+say) makes one scalar call; otherwise the fast path maps the libm function
+over the column, one Python `math` call per element, in the scalar path's
+expression order, and numpy ufuncs do only + - * /, comparisons, abs, max
+and where, which round exactly like the scalar code. The rows it cannot
+reproduce (whose scalar call raises, or might overflow) go to the scalar
+function itself, those rows alone. So a table, or an audit of its drawn
+samples, is byte-identical to one built row by row with the scalar
+evaluators.
 """
 
 from __future__ import annotations
@@ -375,7 +376,7 @@ _INEQUALITY_TOL = 1e-12
 # Samples drawn and evaluated at a time: bounds the memory of a campaign.
 _AUDIT_CHUNK = 2048
 
-# The largest campaign an audit accepts: about 2-4 minutes at 0.01-0.025 s
+# The largest campaign an audit accepts: about 1-2 minutes at 0.006-0.011 s
 # per 10^4 samples (in-process, 1 BLAS thread, a 2-core host).
 MAX_SAMPLES = 10**8
 
@@ -390,146 +391,52 @@ _DRAW = np.dtype([
 ])
 
 
-def _layout(family: str, count: int, words: np.ndarray, half: int | None):
-    """Where each of `count` samples reads the raw `words`, at least 8 per sample.
-
-    `half` holds the top two bits of a buffered high half-word, or is None.
-    Returns the words used, the half left buffered, and four arrays: per
-    sample the index of its first word, of its first word after the kind and
-    its kind; per first-kind sample its bath choice.
-    """
-    if family == "second-kind":  # 4 uniforms and the excess factor
-        base = 5 * np.arange(count)
-        return 5 * count, half, (base, base + 4, np.ones(count, dtype=bool), np.empty(0, int))
-    # the top two bits of each word's low and high 32-bit half
-    low, high = words >> 30 & 3, words >> 62
-    if family == "first-kind":
-        # 7 uniforms and integers(4): a sample that finds no half buffered reads
-        # an 8th word and buffers its high half, which the next sample takes
-        fresh = np.arange(count) % 2 == (half is not None)
-        sizes = 7 + fresh
-        ends = np.cumsum(sizes)
-        base = ends - sizes
-        # the first sample's index -1 stands for the half carried in
-        choice = np.where(fresh, low[base + 7], high[base - 1])
-        if half is not None:
-            choice[0] = half
-        last_half = high[ends[-1] - 1].item() if fresh[-1] else None
-        return ends[-1].item(), last_half, (base, base + 4, np.zeros(count, dtype=bool), choice)
-    # A sample whose first integers() call finds no half buffered reads a new
-    # word for it. A first-kind sample makes two calls and takes 8 words
-    # either way, so it leaves the buffer as it found it; a second-kind sample
-    # makes one and flips it, and takes 6 words if it read one, else 5.
-    second, last_half = _mixed_kinds(count, low, high, half)
-    fresh = (np.cumsum(second) - second) % 2 == (half is not None)
-    sizes = np.where(second, 5 + fresh, 8)
-    ends = np.cumsum(sizes)
-    base = ends - sizes
-    # a first-kind sample's choice takes the half its kind's word buffered, or
-    # reads the word after its 3 uniforms
-    first_base, first_fresh = base[~second], fresh[~second]
-    choice = np.where(first_fresh, high[first_base + 4], low[first_base + 7])
-    return ends[-1].item(), last_half, (base, base + 4 + fresh, second, choice)
-
-
-def _mixed_kinds(count: int, low: np.ndarray, high: np.ndarray, half: int | None):
-    """The kind of each `mixed` sample, walked in turn, and the half left buffered.
-
-    A sample's kind decides where the next one starts, so this walk is the
-    one sequential part of a layout.
-    """
-    low, high = low.astype(np.uint8).tobytes(), high.astype(np.uint8).tobytes()
-    kinds = bytearray(count)
-    pos = 0
-    for i in range(count):
-        if half is None:  # integers(2) reads the word after the 4 uniforms
-            if low[pos + 4] >> 1:  # second kind: its high half stays buffered
-                kinds[i], half, pos = 1, high[pos + 4], pos + 6
-            else:  # first kind: integers(4) takes that high half
-                pos += 8
-        elif half >> 1:  # second kind, from the buffered half
-            kinds[i], half, pos = 1, None, pos + 5
-        else:  # first kind: integers(4) reads the word after its 7 uniforms
-            half, pos = high[pos + 7], pos + 8
-    return np.frombuffer(kinds, dtype=bool), half
+# The unit draws of one sample, a row of the audit's uniform stream: omega2,
+# frequency ratio, T2, T1 factor, kind (`mixed` only), second-kind excess
+# factor or r, |alpha|, phase, first-kind bath choice.
+_DRAW_COLUMNS = 9
 
 
 def _uniform(lo: float, hi: float, u: np.ndarray) -> np.ndarray:
-    """`Generator.uniform(lo, hi)` for the unit draws `u`."""
+    """The unit draws `u` scaled to [lo, hi)."""
     return lo + (hi - lo) * u
 
 
-def _displacement(mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """`m * complex(math.cos(p), math.sin(p))` for each m in `mag`, p in `phase`, bit for bit."""
-    cos, sin = libm_column(math.cos, phase), libm_column(math.sin, phase)
-    alpha = np.empty(len(mag), dtype=complex)
-    # For m != 0 each part is the one product m * cos or m * sin (cos of a
-    # double is never 0), whichever rule Python's float * complex follows;
-    # for m == 0 the sign of a zero part depends on that rule.
-    alpha.real, alpha.imag = mag * cos, mag * sin
-    for i in np.flatnonzero(mag == 0.0).tolist():
-        alpha[i] = mag[i].item() * complex(cos[i].item(), sin[i].item())
-    return alpha
-
-
-def _decode(
-    words: np.ndarray, base: np.ndarray, tail: np.ndarray, second: np.ndarray, choice: np.ndarray
-) -> np.ndarray:
-    """_DRAW records from the raw `words`, laid out by `_layout`."""
-    u = (words >> 11) * 2.0**-53  # each word as a uniform draw in [0, 1)
-    drawn = np.zeros(len(base), dtype=_DRAW)
-    omega2 = drawn["omega2"] = _uniform(1.0, 100.0, u[base])
-    ratio = u[base + 1]
+def _decode(family: str, u: np.ndarray) -> np.ndarray:
+    """_DRAW records from `u`, one row of _DRAW_COLUMNS unit draws per sample."""
+    drawn = np.zeros(len(u), dtype=_DRAW)
+    omega2 = drawn["omega2"] = _uniform(1.0, 100.0, u[:, 0])
+    ratio = u[:, 1]
     drawn["omega1"] = omega2 * np.where(ratio > 0.0, ratio, 1e-6)
-    t2 = drawn["t2"] = _uniform(0.0, 50.0, u[base + 2])
-    drawn["t1"] = u[base + 3] * t2
-    errors = np.full(len(base), None, dtype=object)
+    t2 = drawn["t2"] = _uniform(0.0, 50.0, u[:, 2])
+    drawn["t1"] = u[:, 3] * t2
+    errors = np.full(len(u), None, dtype=object)
     n2 = drawn["n2"] = occupation_column(omega2, t2, errors)
     _raise_first_error(errors)
 
+    second = u[:, 4] >= 0.5 if family == "mixed" else np.full(len(u), family == "second-kind")
     drawn["second_kind"] = second
     n2_second = n2[second]
-    drawn["excess"][second] = u[tail[second]] * (n2_second + 2.0) - n2_second  # n2 + excess >= 0
+    drawn["excess"][second] = u[second, 5] * (n2_second + 2.0) - n2_second  # n2 + excess >= 0
 
-    # bath choice: thermal, squeezed, displaced, squeezed and displaced
-    first = np.flatnonzero(~second)
-    tail = tail[first]
-    drawn["r"][first] = np.where(choice & 1, _uniform(0.0, 1.5, u[tail]), 0.0)
-    displaced = choice >= 2
-    tail = tail[displaced]
-    drawn["alpha"][first[displaced]] = _displacement(
-        _uniform(0.0, 3.0, u[tail + 1]), _uniform(0.0, 2.0 * math.pi, u[tail + 2])
-    )
+    # a first-kind sample's bath: thermal, squeezed, displaced, squeezed and displaced
+    choice = (4.0 * u[:, 8]).astype(int)
+    squeezed = ~second & (choice % 2 == 1)
+    drawn["r"][squeezed] = _uniform(0.0, 1.5, u[squeezed, 5])
+    displaced = ~second & (choice >= 2)
+    phase = _uniform(0.0, 2.0 * math.pi, u[displaced, 7])
+    drawn["alpha"][displaced] = _uniform(0.0, 3.0, u[displaced, 6]) * np.exp(1j * phase)
     return drawn
 
 
 def _draw_chunks(rng: np.random.Generator, family: str, sizes: Iterable[int]):
-    """The samples `rng` would draw, as one array of _DRAW records per size in `sizes`.
+    """The audit samples of `rng`, as one array of _DRAW records per size in `sizes`.
 
-    Decodes the raw words of rng's PCG64 stream exactly as sequential calls do:
-    per sample, `uniform` for omega2, the frequency ratio, T2 and the T1
-    factor; for `mixed`, `integers(2)` for the kind; then `uniform` for a
-    second-kind excess factor, or for r, |alpha| and the phase and
-    `integers(4)` for the bath choice. `uniform(lo, hi)` is
-    `lo + (hi - lo) * ((word >> 11) * 2**-53)`. `integers(2)` and
-    `integers(4)` keep the top bits of a 32-bit half-word (Lemire's method
-    never rejects for these ranges): the low half of a new word, whose high
-    half is then buffered for the next such call. Words read but not used,
-    and the buffered half, carry over to the next size.
+    Sample i decodes row i of `rng`'s uniform stream, whatever the sizes, so
+    the chunks join into the samples of one draw of their total size.
     """
-    words = np.empty(0, dtype=np.uint64)
-    half = None
     for count in sizes:
-        # a sample takes at most 8 words: 4 uniforms, a half-word for the kind,
-        # 3 uniforms and a half-word for the bath choice
-        need = 8 * count - len(words)
-        if need > 0:
-            words = np.concatenate((words, rng.bit_generator.random_raw(need)))
-        used, half, layout = _layout(family, count, words, half)
-        drawn = _decode(words[:used], *layout)
-        del layout  # hold only the unused words while the chunk is audited
-        words = words[used:].copy()
-        yield drawn
+        yield _decode(family, rng.random((count, _DRAW_COLUMNS)))
 
 
 def _raise_first_error(errors: np.ndarray) -> None:
@@ -568,13 +475,13 @@ def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSumma
     Configurations are drawn uniformly from a generator seeded by `seed`:
     omega2 in [1, 100), omega1 = ratio * omega2 with ratio in [0, 1) (a ratio
     of 0 is replaced by 1e-6), T2 in [0, 50), T1 = factor * T2 with factor in
-    [0, 1), squeezing in [0, 1.5) and |alpha| in [0, 3). The samples are
-    exactly those that sequential `Generator.uniform` and `integers` calls
-    give, decoded from the generator's raw stream in chunks, so the summary
-    depends only on `samples`, `seed` and `family`. First-kind samples audit
-    the standard cycle and, when the bath is non-passive, the modified cycle
-    as well (including the COP bound in the dual regime); second-kind samples
-    audit the Carnot bound at the real temperature.
+    [0, 1), squeezing in [0, 1.5) and |alpha| in [0, 3). Sample i decodes
+    row i of the generator's stream of uniforms, nine to a row, which is the
+    same whatever the chunks it is drawn in, so the summary depends only on
+    `samples`, `seed` and `family`. First-kind samples audit the standard
+    cycle and, when the bath is non-passive, the modified cycle as well
+    (including the COP bound in the dual regime); second-kind samples audit
+    the Carnot bound at the real temperature.
     """
     samples = int(samples)
     if samples < 1:

@@ -382,6 +382,26 @@ def test_closed_stdout_is_usage_error(steps):
     assert len(err.splitlines()) == 1
 
 
+def run_module(*argv):
+    """`python -m otto_forge.cli` with `argv`, the package imported from this source tree."""
+    src = pathlib.Path(otto_forge.__file__).parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "otto_forge.cli", *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_run_prints_version():
+    result = run_module("--version")
+    assert (result.returncode, result.stdout) == (0, f"otto-forge {otto_forge.__version__}\n")
+
+
+def test_module_run_checks_required_flags():
+    result = run_module("cycle")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: missing required argument(s): --omega1")
+
+
 # |alpha| of this bath is beyond the double range: the sweep fails before its first row
 OVERFLOWING_SWEEP = [
     "sweep", *FIG5, "--bath", "displaced:1.5e308,1.5e308", "--axis", "displacement",

@@ -8,6 +8,7 @@ heat is additionally cross-checked against the Fock oracle.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,62 @@ FIG5 = dict(omega1=7, omega2=20, t1=2, t2=10)
 
 def fig5_config(bath):
     return CycleConfig(bath=bath, **FIG5)
+
+
+FIRST_KIND_BATHS = [ThermalBath, SqueezedThermalBath, DisplacedThermalBath, SqueezedDisplacedBath]
+
+
+def field_names(cls):
+    return {field.name for field in dataclasses.fields(cls)}
+
+
+def first_kind_bath(cls, r=0.5, alpha=1 + 1j):
+    """A `cls` bath given those of r and alpha that are its fields."""
+    values = {"r": r, "alpha": alpha}
+    return cls(**{name: values[name] for name in field_names(cls)})
+
+
+class TestFirstKindBaths:
+    """Each first-kind bath checks the r and alpha it takes; the others are class constants."""
+
+    @pytest.mark.parametrize("cls", FIRST_KIND_BATHS)
+    @pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
+    def test_squeezing_must_be_finite_and_non_negative(self, cls, r):
+        if "r" not in field_names(cls):
+            assert first_kind_bath(cls, r=r).r == 0.0
+            return
+        message = f"squeezing amplitude must be non-negative, got {r!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            first_kind_bath(cls, r=r)
+
+    @pytest.mark.parametrize("cls", FIRST_KIND_BATHS)
+    @pytest.mark.parametrize("alpha", [
+        complex(math.nan, 1.0), complex(1.0, math.nan), complex(math.inf, 0.0),
+        complex(0.0, -math.inf),
+    ])
+    def test_displacement_must_be_finite(self, cls, alpha):
+        if "alpha" not in field_names(cls):
+            assert first_kind_bath(cls, alpha=alpha).alpha == 0j
+            return
+        with pytest.raises(ValueError, match=re.escape(f"displacement must be finite, got {alpha!r}")):
+            first_kind_bath(cls, alpha=alpha)
+
+    def test_squeezing_is_checked_before_displacement(self):
+        with pytest.raises(ValueError, match="squeezing amplitude"):
+            SqueezedDisplacedBath(-1.0, complex(math.nan, 0.0))
+
+    @pytest.mark.parametrize("cls", [DisplacedThermalBath, SqueezedDisplacedBath])
+    def test_displacement_is_coerced_to_complex(self, cls):
+        bath = first_kind_bath(cls, alpha=2)
+        assert type(bath.alpha) is complex and bath.alpha == 2 + 0j
+        assert bath == first_kind_bath(cls, alpha=2 + 0j)
+        assert repr(bath).endswith("alpha=(2+0j))")
+
+    def test_constants_stay_on_the_class(self):
+        assert repr(ThermalBath()) == "ThermalBath()" and ThermalBath() == ThermalBath()
+        assert repr(SqueezedThermalBath(0.5)) == "SqueezedThermalBath(r=0.5)"
+        assert vars(ThermalBath()) == {} and vars(SqueezedThermalBath(0.5)) == {"r": 0.5}
+        assert vars(DisplacedThermalBath(1j)) == {"alpha": 1j}
 
 
 class TestStandardCycle:

@@ -44,28 +44,28 @@ GOLDEN = {
     ),
     "audit-first-kind": (
         ["audit", "--samples", "2000", "--seed", "42", "--family", "first-kind"],
-        "68fd36a24affdb3f248e6511d6979c273b63b727419bc62ccc2665b2da8d4428",
+        "c5bebb6fd480a9f97c9b23bb95c916a6aa338b90bb7462faccdb14ea708f41ed",
     ),
     "audit-second-kind": (
         ["audit", "--samples", "2000", "--seed", "42", "--family", "second-kind"],
-        "6bc9dc61c05bcec55f993c2cb3d5e1737c3fe2c08fc2e3bc107de0ce5c08e08a",
+        "3700a9f6e6bfc1ce996dfad5f21a5b702a3096b04c591b9180344cf121cbebb4",
     ),
     "audit-mixed": (
         ["audit", "--samples", "2000", "--seed", "42", "--family", "mixed"],
-        "f232be050533b31f61061765450d99e21c4b7e3a801d6b1d360495ed3772ef66",
+        "f011d83fa40fe64b4cdef3ec295ab078d20830c08dd9870a7025fe56c3be78e1",
     ),
     # 5000 samples: two full audit chunks and a partial one
     "audit-first-kind-chunks": (
         ["audit", "--samples", "5000", "--seed", "7", "--family", "first-kind"],
-        "8be844401881720d60355af14cf1253fed4ee56ea596f3f6d0ac6dd17eeb32ce",
+        "1640b780c811cf608dd40de0a4055f4b4ecd9423deb2ec6322ba905a2cda7d82",
     ),
     "audit-second-kind-chunks": (
         ["audit", "--samples", "5000", "--seed", "7", "--family", "second-kind"],
-        "b200aebbf48abfce325d6d2330b4789e54e7059b9cd07afa26cdd9046586c92d",
+        "d927c3ad6d252af81e0683a8832693b2c62eeef37c257f0589ab5f5cfbbc2066",
     ),
     "audit-mixed-chunks": (
         ["audit", "--samples", "5000", "--seed", "7", "--family", "mixed"],
-        "12e2b2c0e4354d0ef4313d86404e4e4cfad8ec195f6d43ce8cb8b4eb1d7310ad",
+        "ea5b4c6a9afadcbc85cdc71553f95ad5094eaccf29a01e90604f2fedc29a05d1",
     ),
 }
 

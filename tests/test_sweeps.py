@@ -38,7 +38,7 @@ from otto_forge.sweeps import (
     MAX_SAMPLES,
     TABLE_COLUMNS,
     SweepTable,
-    _displacement,
+    _decode,
     _draw_chunks,
     ledger_record,
     sweep_blocks,
@@ -489,68 +489,86 @@ class TestAuditCampaign:
         assert audit_campaign(5000, seed=7, family=family) == expected
         assert calls == {"_audit_first_kind": first_calls, "_audit_second_kind": second_calls}
 
+    # with chunks of 7 samples a chunk's family can hold a single row, which
+    # the column forms evaluate by their one scalar call
+    @pytest.mark.parametrize("family", ["first-kind", "second-kind", "mixed"])
+    def test_summary_does_not_depend_on_the_chunk_size(self, monkeypatch, family):
+        summaries = []
+        for chunk in (7, 2048):
+            monkeypatch.setattr(sweeps, "_AUDIT_CHUNK", chunk)
+            summaries.append(audit_campaign(5000, seed=7, family=family))
+        assert summaries[0] == summaries[1]
 
-def reference_draw(rng, family):
-    """One audit sample from sequential Generator calls, the order the decoder replays."""
-    omega2 = rng.uniform(1.0, 100.0)
-    ratio = rng.uniform(0.0, 1.0)
-    omega1 = omega2 * (ratio if ratio > 0.0 else 1e-6)
-    t2 = rng.uniform(0.0, 50.0)
-    t1 = rng.uniform(0.0, 1.0) * t2
-    kind = family if family != "mixed" else ("first-kind", "second-kind")[rng.integers(2)]
+
+def reference_sample(family, row):
+    """One audit sample decoded from its row of unit draws with Python floats."""
+    u = row.tolist()
+    omega2 = 1.0 + 99.0 * u[0]
+    omega1 = omega2 * (u[1] if u[1] > 0.0 else 1e-6)
+    t2 = 50.0 * u[2]
+    t1 = u[3] * t2
     n2 = occupation(omega2, t2)
-    if kind == "second-kind":
-        excess = rng.uniform(0.0, 1.0) * (n2 + 2.0) - n2
-        return omega1, omega2, t1, t2, True, 0.0, 0j, excess, n2
-    r = rng.uniform(0.0, 1.5)
-    mag = rng.uniform(0.0, 3.0)
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    alpha = mag * complex(math.cos(phase), math.sin(phase))
-    choice = rng.integers(4)  # thermal, squeezed, displaced, squeezed and displaced
-    return (omega1, omega2, t1, t2, False,
-            r if choice in (1, 3) else 0.0, alpha if choice >= 2 else 0j, 0.0, n2)
+    if family == "second-kind" or (family == "mixed" and u[4] >= 0.5):
+        return omega1, omega2, t1, t2, True, 0.0, 0j, u[5] * (n2 + 2.0) - n2, n2
+    choice = int(4.0 * u[8])  # thermal, squeezed, displaced, squeezed and displaced
+    r = 1.5 * u[5] if choice in (1, 3) else 0.0
+    mag, phase = 3.0 * u[6], 2.0 * math.pi * u[7]
+    alpha = mag * complex(math.cos(phase), math.sin(phase)) if choice >= 2 else 0j
+    return omega1, omega2, t1, t2, False, r, alpha, 0.0, n2
+
+
+# Rows at the edges of the draws: zero ratio, T2 and |alpha|, the kind and
+# bath-choice thresholds, and the largest unit draw.
+_BELOW_HALF = math.nextafter(0.5, 0.0)
+EDGE_ROWS = np.array([
+    [0.0] * 9,
+    [1.0 - 2.0**-53] * 9,
+    [0.5, 0.0, 0.5, 0.5, 0.5, 0.5, 0.0, 0.5, 0.25],
+    [0.5, 0.5, 0.0, 0.5, _BELOW_HALF, 0.5, 0.0, 0.75, 0.5],
+    [0.5, 0.5, 0.5, 0.0, _BELOW_HALF, 0.0, 0.5, 0.0, 0.75],
+    [0.5, 0.5, 0.5, 0.5, _BELOW_HALF, 0.5, 0.5, 0.5, math.nextafter(0.25, 0.0)],
+])
 
 
 class TestAuditDraws:
-    """The array decoder of the raw PCG64 stream replays sequential Generator calls.
-
-    Fails if a numpy release changes how `uniform` or `integers` consume the
-    stream, so that such a change cannot move an audit silently.
-    """
+    """Sample i is row i of the generator's uniforms, decoded with array arithmetic."""
 
     @staticmethod
-    def check_chunks(family, seed, sizes):
-        rng = np.random.default_rng(seed)
-        expected = np.array([reference_draw(rng, family) for _ in range(sum(sizes))], dtype=_DRAW)
+    def check_split(family, seed, sizes):
         chunks = list(_draw_chunks(np.random.default_rng(seed), family, sizes))
+        (whole,) = _draw_chunks(np.random.default_rng(seed), family, [sum(sizes)])
         assert [len(chunk) for chunk in chunks] == sizes
-        assert np.concatenate(chunks).tobytes() == expected.tobytes()
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(
         family=st.sampled_from(["first-kind", "second-kind", "mixed"]),
         seed=st.sampled_from([0, 1, 2**64, 10**29 + 7]) | st.integers(0, 2**80),
-        # an odd first-kind chunk, and many mixed ones, leave a
-        # buffered half-word at a chunk boundary; an even first-kind one does not
         sizes=st.lists(st.integers(1, 301), min_size=1, max_size=6),
     )
-    def test_records_equal_sequential_calls(self, family, seed, sizes):
-        self.check_chunks(family, seed, sizes)
+    def test_chunks_join_into_one_draw(self, family, seed, sizes):
+        self.check_split(family, seed, sizes)
 
-    # chunks of the size an audit draws, with and without a half-word carried over
+    # chunks of the size an audit draws, and one sample fewer or more
     @pytest.mark.parametrize("family", ["first-kind", "second-kind", "mixed"])
     @pytest.mark.parametrize("seed, sizes", [
         (3, [_AUDIT_CHUNK, _AUDIT_CHUNK]),
         (2**64, [_AUDIT_CHUNK - 1, _AUDIT_CHUNK + 1, _AUDIT_CHUNK]),
         (10**29 + 7, [_AUDIT_CHUNK + 1, _AUDIT_CHUNK - 1, 1]),
     ])
-    def test_audit_chunks_equal_sequential_calls(self, family, seed, sizes):
-        self.check_chunks(family, seed, sizes)
+    def test_audit_chunks_join_into_one_draw(self, family, seed, sizes):
+        self.check_split(family, seed, sizes)
 
-    def test_displacement_keeps_python_zero_signs(self):
-        # m = 0 (a unit draw of exactly 0) gives zero parts whose signs follow
-        # Python's float * complex rule; other magnitudes are plain products
-        phase = np.array([0.0, 1.0, 2.0, 4.0, 5.0, 3.0, 0.5])
-        mag = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.5, 2.999])
-        expected = np.array([m * complex(math.cos(p), math.sin(p)) for m, p in zip(mag, phase)])
-        assert _displacement(mag, phase).tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("family", ["first-kind", "second-kind", "mixed"])
+    @pytest.mark.parametrize("seed", [0, 2**64])
+    def test_rows_decode_as_python_samples(self, family, seed):
+        u = np.vstack([np.random.default_rng(seed).random((3000, 9)), EDGE_ROWS])
+        drawn = _decode(family, u)
+        expected = np.array([reference_sample(family, row) for row in u], dtype=_DRAW)
+        for name in _DRAW.names:
+            if name != "alpha":
+                assert drawn[name].tobytes() == expected[name].tobytes(), name
+        # numpy's complex exp against math.cos and math.sin: a few ulps of |alpha| < 3
+        for part in ("real", "imag"):
+            deviation = np.abs(getattr(drawn["alpha"], part) - getattr(expected["alpha"], part))
+            assert deviation.max() <= 4e-15, part
