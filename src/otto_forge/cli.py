@@ -8,11 +8,18 @@ A JSON config file (--config) may supply any of the value flags, using the
 flag names as keys (hyphens and underscores are interchangeable). Each value
 is read as the flag would read it from the command line. Explicit flags win
 over the config file, with a warning on stderr when they disagree.
+
+A plain ValueError raised anywhere below `main` is a usage error: `main`
+prints it as one `error:` line and returns 2. Every command writes its
+output as bytes to `sys.stdout.buffer`, so a caller that runs `main`
+in-process must redirect stdout to a text stream with a binary buffer
+underneath, such as `io.TextIOWrapper(io.BytesIO())`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -40,14 +47,8 @@ from .gaussian import (
     is_nonclassical,
     state_energy,
 )
-from .sweeps import (
-    MAX_SAMPLES, SweepAxis, SweepSpec, audit_campaign, ledger_record, sweep_blocks,
-)
+from .sweeps import SweepAxis, SweepSpec, audit_campaign, ledger_record, sweep_blocks
 from .thermo import thermal_entropy
-
-
-class _UsageError(Exception):
-    """Invalid argument combination detected after config merging."""
 
 
 def _parse_bath(text: str):
@@ -80,10 +81,10 @@ def _parse_bath(text: str):
             else:
                 raise ValueError(f"unknown bath kind {kind!r}")
         except ValueError as exc:
-            raise _UsageError(f"malformed bath spec {text!r}: {exc}") from None
+            raise ValueError(f"malformed bath spec {text!r}: {exc}") from None
     if second is not None:
         if r is not None or alpha is not None:
-            raise _UsageError("second-kind baths cannot be combined with squeezing/displacement")
+            raise ValueError("second-kind baths cannot be combined with squeezing/displacement")
         return SecondKindBath(excess=second)
     if r is not None and alpha is not None:
         return SqueezedDisplacedBath(r=r, alpha=alpha)
@@ -103,28 +104,28 @@ def _merge_config(args: argparse.Namespace) -> None:
             payload = json.load(handle)
     except (OSError, ValueError) as exc:
         # ValueError: bad JSON, or (Python >= 3.10.7) an int over the digit limit
-        raise _UsageError(f"cannot read config file {args.config!r}: {exc}") from None
+        raise ValueError(f"cannot read config file {args.config!r}: {exc}") from None
     if not isinstance(payload, dict):
-        raise _UsageError("config file must hold a flat JSON object")
+        raise ValueError("config file must hold a flat JSON object")
     actions = {action.dest: action for action in args.parser._actions}
     for raw_key, value in payload.items():
         key = raw_key.replace("-", "_")
         action = actions.get(key)
         if action is None or key in ("config", "help"):
-            raise _UsageError(f"unknown config key {raw_key!r}")
+            raise ValueError(f"unknown config key {raw_key!r}")
         if action.nargs == 0 and not isinstance(value, bool):  # a flag without a value
-            raise _UsageError(f"config key {raw_key!r}: expected true or false, got {value!r}")
+            raise ValueError(f"config key {raw_key!r}: expected true or false, got {value!r}")
         if action.nargs != 0 and action.type is None and not isinstance(value, str):
-            raise _UsageError(f"config key {raw_key!r}: expected a string, got {value!r}")
+            raise ValueError(f"config key {raw_key!r}: expected a string, got {value!r}")
         if action.type is not None:
             try:
                 value = action.type(str(value))
             except ValueError:
-                raise _UsageError(
+                raise ValueError(
                     f"config key {raw_key!r}: invalid {action.type.__name__} value {value!r}"
                 ) from None
         if action.choices is not None and value not in action.choices:
-            raise _UsageError(
+            raise ValueError(
                 f"config key {raw_key!r}: {value!r} is not one of {list(action.choices)}"
             )
         current = getattr(args, key)
@@ -142,7 +143,7 @@ def _require(args: argparse.Namespace, *names: str) -> None:
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise _UsageError(f"missing required argument(s): {flags}")
+        raise ValueError(f"missing required argument(s): {flags}")
 
 
 def _check_finite(payload: dict) -> None:
@@ -153,24 +154,35 @@ def _check_finite(payload: dict) -> None:
         raise OverflowError(f"non-finite result: {', '.join(bad)}")
 
 
+def _write(chunks, path: str | None = None) -> None:
+    """Write byte chunks to the file at `path`, or to stdout; a failed write is a usage error."""
+    try:
+        out = open(path, "wb") if path else sys.stdout.buffer
+        try:
+            out.writelines(chunks)
+        finally:  # a reader that stops early, as `| head` does, fails a write with EPIPE
+            out.close() if path else out.flush()
+    except OSError as exc:
+        if not path:  # the unsent rest goes to /dev/null, not to a failed flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValueError(f"cannot write {path or 'stdout'!r}: {exc}") from None
+
+
 def _print_json(payload: dict) -> None:
-    """Print the payload as strict JSON; a non-finite number is a numerics error."""
+    """Print the payload as one line of strict JSON; a non-finite number is a numerics error."""
     _check_finite(payload)
-    print(json.dumps(payload, allow_nan=False))
+    _write([json.dumps(payload, allow_nan=False).encode() + b"\n"])
 
 
 def _cycle_config(args: argparse.Namespace) -> CycleConfig:
     """The base cycle of `cycle` and `sweep`, from the flags both take."""
-    try:
-        return CycleConfig(
-            omega1=args.omega1,
-            omega2=args.omega2,
-            t1=args.t1,
-            t2=args.t2,
-            bath=_parse_bath(str(args.bath)),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return CycleConfig(
+        omega1=args.omega1,
+        omega2=args.omega2,
+        t1=args.t1,
+        t2=args.t2,
+        bath=_parse_bath(str(args.bath)),
+    )
 
 
 def _cmd_cycle(args: argparse.Namespace) -> int:
@@ -189,43 +201,26 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        spec = SweepSpec(
-            base=_cycle_config(args),
-            axis=SweepAxis(args.axis),
-            start=args.start,
-            stop=args.stop,
-            steps=args.steps,
-            cycle_kind=CycleKind(args.cycle),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    spec = SweepSpec(
+        base=_cycle_config(args),
+        axis=SweepAxis(args.axis),
+        start=args.start,
+        stop=args.stop,
+        steps=args.steps,
+        cycle_kind=CycleKind(args.cycle),
+    )
     blocks = sweep_blocks(spec, args.format)
     first = next(blocks)  # evaluated before the output opens: a sweep that fails writes nothing
-    try:
-        out = open(args.out, "wb") if args.out else sys.stdout.buffer
-        try:
-            out.writelines(itertools.chain((first,), blocks))
-        finally:  # a reader that stops early, as `| head` does, fails a write with EPIPE
-            out.close() if args.out else out.flush()
-    except OSError as exc:
-        if not args.out:  # the unsent rest goes to /dev/null, not to a failed flush at exit
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise _UsageError(f"cannot write {args.out or 'stdout'!r}: {exc}") from None
+    _write(itertools.chain((first,), blocks), args.out)
     return 0
 
 
 def _cmd_ergotropy(args: argparse.Namespace) -> int:
     omega = float(args.omega)
-    try:
-        state = GaussianModeState(
-            n_th=args.nth, r=args.r, alpha=complex(args.alpha_re, args.alpha_im)
-        )
-        analytic = ergotropy_analytic(state, omega)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    state = GaussianModeState(n_th=args.nth, r=args.r, alpha=complex(args.alpha_re, args.alpha_im))
+    analytic = ergotropy_analytic(state, omega)
     if args.oracle and not 0.0 < args.tail_tol < 1.0:
-        raise _UsageError(f"--tail-tol must lie in (0, 1), got {args.tail_tol!r}")
+        raise ValueError(f"--tail-tol must lie in (0, 1), got {args.tail_tol!r}")
     payload = {
         "n_th": state.n_th,
         "r": state.r,
@@ -262,18 +257,16 @@ def _cmd_ergotropy(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise _UsageError("--samples must be at least 1")
-    if args.samples > MAX_SAMPLES:
-        raise _UsageError(f"--samples must be at most {MAX_SAMPLES}")
     if args.seed < 0:
-        raise _UsageError("--seed must be non-negative")
+        raise ValueError("--seed must be non-negative")
     summary = audit_campaign(args.samples, args.seed, family=args.family)
     _print_json(vars(summary) | {"ok": summary.ok})
     return 0 if summary.ok else 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (its subcommand defaults are only read)."""
     parser = argparse.ArgumentParser(
         prog="otto-forge",
         description="Quantum Otto machines powered by non-thermal baths.",
@@ -367,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
                 setattr(args, name, value)
         _require(args, *args.required)
         return args.func(args)
-    except _UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OttoForgeError as exc:

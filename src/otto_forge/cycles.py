@@ -591,10 +591,7 @@ def ledger_columns(
     n2 = occupation_column(o2, t2, errors) if n2 is None else _column(np.asarray(n2, float), n)
     # failed rows carry NaN and overflowing ones inf; both end up in `errors`
     with np.errstate(all="ignore"):
-        if kind is CycleKind.SECOND_KIND:
-            columns = _second_kind_columns(o1, o2, n1, n2, dn, errors)
-        else:
-            columns = _first_kind_columns(o1, o2, n1, n2, dn, errors, kind is CycleKind.MODIFIED)
+        columns = _KERNELS[kind](o1, o2, n1, n2, dn, errors)
         scale = columns.pop("scale")
         columns["law_residual"] = _first_law_residual(
             *(columns[name] for name in ("w1", "w2", "w3", "w4", "q2", "q4")), scale
@@ -617,35 +614,37 @@ def _column(values: np.ndarray, n: int) -> np.ndarray:
     return values.reshape(1) if n == 1 else np.broadcast_to(values, (n,))
 
 
-def _first_kind_columns(o1, o2, n1, n2, dn, errors, modified: bool) -> dict:
+def _first_kind_strokes(o1, o2, n1, n2, dn) -> tuple:
+    """W1, Q2, W2, E2 and Q4, the strokes the standard and modified ledgers share."""
     w1 = (o2 - o1) * (n1 + 0.5)
     q2 = o2 * (n2 - n1)
     w2 = o2 * dn
-    e2 = w2 + q2
-    q4 = o1 * (n1 - n2)
+    return w1, q2, w2, w2 + q2, o1 * (n1 - n2)
 
-    # Factored net work avoids the catastrophic cancellation of w1 + w3 near
-    # the engine boundary; `excess` is the engine margin n2 + dn - n1.
-    excess = (n2 - n1) + dn
 
+def _standard_columns(o1, o2, n1, n2, dn, errors) -> dict:
+    w1, q2, w2, e2, q4 = _first_kind_strokes(o1, o2, n1, n2, dn)
     w3 = (o1 - o2) * (n2 + dn + 0.5)
     w4 = -o1 * dn
     e4 = w4 + q4
-    net = -(o2 - o1) * excess
+    # Factored net work avoids the catastrophic cancellation of w1 + w3 near
+    # the engine boundary; (n2 - n1) + dn is the engine margin.
+    net = -(o2 - o1) * ((n2 - n1) + dn)
     scale = _energy_scale(w1, w2, w3, w4, q2, q4, e2, e4)
     tol = _TIE_TOL * scale
     eta, reason = _engine_efficiency(net, e2, tol)
     undefined = np.full(len(w1), np.nan)
-    columns = dict(
+    return dict(
         w1=w1, w2=w2, w3=w3, w4=w4, q2=q2, q4=q4, e2=e2, e4=e4, w3_prime=undefined,
         w3_th=undefined, w3_nonpas=undefined, eta=eta, cop=undefined, w_inv=undefined,
         regime=_classify_first_kind(net, q2, e4, tol), reason=reason,
         split=np.zeros(len(w1), dtype=bool), scale=scale,
     )
-    if not modified:
-        return columns
 
-    # The modified ledger, kept on rows with something to undo (dn != 0).
+
+def _modified_columns(o1, o2, n1, n2, dn, errors) -> dict:
+    """The modified ledger on rows with something to undo (dn != 0), the standard one elsewhere."""
+    w1, q2, w2, e2, q4 = _first_kind_strokes(o1, o2, n1, n2, dn)
     split = dn != 0.0
     w3_th = (o1 - o2) * (n2 + 0.5)
     w3_nonpas = -w2
@@ -658,15 +657,16 @@ def _first_kind_columns(o1, o2, n1, n2, dn, errors, modified: bool) -> dict:
     regime = _classify_modified(net, n1, n2, tol)
     # hybrid engine only (n2 >= n1); heat is still dumped into the cold bath (q4 <= 0)
     hybrid = regime == _CODE[RegimeTag.SUB_CARNOT_HYBRID_ENGINE]
-    hybrid_divisor = o2 * excess
+    hybrid_divisor = o2 * ((n2 - n1) + dn)
     vanishing = split & hybrid & (hybrid_divisor == 0.0)
     if vanishing.any():
         _fail(errors, vanishing, ZeroDivisionError("float division by zero"))
     # n2 < n1: the cycle refrigerates the cold bath (q4 > 0). It is a dual
     # engine/refrigerator only if the piston still extracts net work.
     dual = regime == _CODE[RegimeTag.DUAL_ENGINE_REFRIGERATOR]
-    modified_columns = dict(
-        w3=w3p, w4=w4, e4=e4, w3_prime=w3p, w3_th=w3_th, w3_nonpas=w3_nonpas,
+    columns = dict(
+        w1=w1, w2=w2, w3=w3p, w4=w4, q2=q2, q4=q4, e2=e2, e4=e4,
+        w3_prime=w3p, w3_th=w3_th, w3_nonpas=w3_nonpas,
         eta=np.where(hybrid, 1.0 - (o1 * (n2 - n1)) / hybrid_divisor,
                      np.where(dual, 1.0, np.nan)),
         cop=np.where(hybrid, np.nan, o1 / (o2 - o1)),  # n2 < n1 forces o1 < o2 under t1 <= t2
@@ -675,8 +675,9 @@ def _first_kind_columns(o1, o2, n1, n2, dn, errors, modified: bool) -> dict:
         reason=np.where(regime == _CODE[RegimeTag.NOT_ENGINE], _CONSUMES_WORK, 0),
         scale=scale,
     )
-    for name, column in modified_columns.items():
-        columns[name] = np.where(split, column, columns[name])
+    if not split.all():
+        standard = _standard_columns(o1, o2, n1, n2, dn, errors)
+        columns = {name: np.where(split, col, standard[name]) for name, col in columns.items()}
     columns["split"] = split
     return columns
 
@@ -706,6 +707,10 @@ def _second_kind_columns(o1, o2, n1, n2, dn, errors) -> dict:
         regime=_classify_second_kind(net, tol), reason=reason,
         split=np.zeros(len(w1), dtype=bool), scale=scale,
     )
+
+
+_KERNELS = {CycleKind.STANDARD: _standard_columns, CycleKind.MODIFIED: _modified_columns,
+            CycleKind.SECOND_KIND: _second_kind_columns}
 
 
 def _energy_scale(*energies):

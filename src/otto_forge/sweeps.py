@@ -376,8 +376,8 @@ _INEQUALITY_TOL = 1e-12
 # Samples drawn and evaluated at a time: bounds the memory of a campaign.
 _AUDIT_CHUNK = 2048
 
-# The largest campaign an audit accepts: about 1-2 minutes at 0.006-0.011 s
-# per 10^4 samples (in-process, 1 BLAS thread, a 2-core host).
+# The largest campaign an audit accepts: about 2 minutes, 120 s (mixed) and
+# 130 s (first-kind) in-process, 1 BLAS thread, on a 2-core Xeon host.
 MAX_SAMPLES = 10**8
 
 

@@ -361,23 +361,53 @@ def test_unwritable_out_file_is_usage_error(capsys, tmp_path, target):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("steps", ["3", "10000"])
-def test_closed_stdout_is_usage_error(steps):
-    # the pipe's read end is closed before the first block is written, as when
-    # a reader such as `head` has stopped; stdout is buffered, as it is by
-    # default, so unsent bytes would still be flushed at exit
+# one argv per command; the sweep cases fit in one block and span two
+WRITING_COMMANDS = {
+    **{steps: ["sweep", *FIG5, "--bath", "thermal", "--axis", "frequency-ratio",
+               "--start", "0.1", "--stop", "1", "--steps", steps] for steps in ("3", "10000")},
+    "cycle": ["cycle", *FIG5, "--bath", "squeezed:0.5"],
+    "audit": ["audit", "--samples", "100", "--seed", "1"],
+    "ergotropy": ["ergotropy", "--nth", "0.2", "--r", "0.5", "--omega", "3", "--oracle"],
+}
+
+
+def run_console(argv, stdout):
+    """Run the console entry point in a subprocess on `stdout`; return (exit code, stderr).
+
+    Its stdout stays buffered, as it is by default, so unsent bytes would
+    still be flushed at exit.
+    """
     src = pathlib.Path(otto_forge.__file__).parents[1]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    argv = ["sweep", *FIG5, "--bath", "thermal", "--axis", "frequency-ratio",
-            "--start", "0.1", "--stop", "1", "--steps", steps]
     with subprocess.Popen(
         [sys.executable, "-c", "from otto_forge.cli import run; run()", *argv],
-        env=env | {"PYTHONPATH": str(src)}, stdout=subprocess.PIPE,
+        env=env | {"PYTHONPATH": str(src)}, stdout=stdout,
         stderr=subprocess.PIPE, text=True,
     ) as proc:
-        proc.stdout.close()
+        if stdout is subprocess.PIPE:
+            # the pipe's read end is closed before the first write, as when a
+            # reader such as `head` has stopped
+            proc.stdout.close()
         err = proc.stderr.read()
-        assert proc.wait(timeout=120) == 2
+        return proc.wait(timeout=120), err
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_closed_stdout_is_usage_error(command):
+    code, err = run_console(WRITING_COMMANDS[command], subprocess.PIPE)
+    assert code == 2
+    assert err.startswith("error: cannot write 'stdout'")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_full_stdout_is_usage_error(command):
+    # /dev/full accepts the open and fails every write with ENOSPC
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    with open("/dev/full", "wb") as full:
+        code, err = run_console(WRITING_COMMANDS[command], full)
+    assert code == 2
     assert err.startswith("error: cannot write 'stdout'")
     assert len(err.splitlines()) == 1
 
