@@ -26,6 +26,10 @@ class DensityNotPositive(OttoForgeError):
     """A density matrix has an eigenvalue below the round-off floor."""
 
 
+class LapackFailure(OttoForgeError):
+    """A LAPACK routine of the Fock oracle failed, for example did not converge."""
+
+
 class NotApplicable(OttoForgeError):
     """The requested cycle is undefined for the given bath kind."""
 

@@ -13,13 +13,14 @@ sqrt(p_{K-1}) e_{K-1}], where K counts the thermal levels whose population
 is above double round-off relative to p_0 (the dropped columns carry less
 than round-off; an undressed thermal state keeps all of them, exact level
 by level). Each generator is tridiagonal (the squeeze one per parity block)
-with a zero diagonal, so its eigenvalues come in +-lambda pairs: only the
-lambda > 0 half of its eigenbasis is applied to the N x K block, split into
-even and odd rows, at N^2 K multiply-adds against 2 N^2 K for the whole
-basis. The populations are the squared row norms of W; the spectrum is an
-independent eigvalsh of the K x K Gram matrix W^dag W, whose eigenvalues are
-the nonzero ones of W W^dag. No N x N matrix is formed unless
-`FockDensity.matrix` is read.
+with a zero diagonal, so it couples even levels only to odd ones: it is the
+Golub-Kahan form of a bidiagonal matrix B of half its size, and its
+exponential follows from the SVD of B (LAPACK's divide-and-conquer dbdsdc),
+applied to the N x K block split into even and odd rows. The populations
+are the squared row norms of W; the spectrum is an independent eigvalsh of
+the K x K Gram matrix W^dag W, whose eigenvalues are the nonzero ones of
+W W^dag, or, when W is diagonal, its sorted squared diagonal. No N x N
+matrix is formed unless `FockDensity.matrix` is read.
 
 One numerical subtlety governs the guards: because the truncated dressing
 is unitary at any cutoff, the trace of the built state stays near one even
@@ -39,13 +40,14 @@ probed cutoff once.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import CutoffSearchFailed, CutoffTooSmall, DensityNotPositive
+from .errors import CutoffSearchFailed, CutoffTooSmall, DensityNotPositive, LapackFailure
 from .gaussian import GaussianModeState
 
 DEFAULT_TAIL_TOL = 1e-9
@@ -103,7 +105,15 @@ class FockDensity:
     def eigenvalues(self) -> np.ndarray:
         """Spectrum in ascending order, clipped to [0, 1] after round-off checks."""
         w = self.factor
-        ev = np.linalg.eigvalsh(w.conj().T @ w)
+        diag = np.diagonal(w)
+        # a diagonal factor (a passive state's) has its sorted squared diagonal as spectrum
+        if w.shape[0] == w.shape[1] and np.count_nonzero(w) == np.count_nonzero(diag):
+            ev = np.sort(np.abs(diag) ** 2)
+        else:
+            try:
+                ev = np.linalg.eigvalsh(w.conj().T @ w)
+            except np.linalg.LinAlgError as exc:
+                raise LapackFailure(f"spectrum of the Gram matrix: {exc}") from exc
         if ev[0] < _EIGENVALUE_FLOOR:
             raise DensityNotPositive(
                 f"eigenvalue {ev[0]:.3e} below the {_EIGENVALUE_FLOOR:.0e} round-off floor"
@@ -142,6 +152,37 @@ def _real_times_complex(real: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (real @ z.view(np.float64)).view(complex)
 
 
+@cache
+def _dbdsdc():
+    """LAPACK's dbdsdc (bidiagonal SVD), bound from scipy's Cython LAPACK table."""
+    from scipy.linalg import cython_lapack  # deferred: only the oracle needs scipy
+
+    capsule, obj, api = cython_lapack.__pyx_capi__["dbdsdc"], ctypes.py_object, ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))(capsule)
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, ctypes.c_char_p)
+    address = pointer(("PyCapsule_GetPointer", api))(capsule, name)
+    i, v = ctypes.POINTER(ctypes.c_int), np.ctypeslib.ndpointer(float, 1, flags="C")
+    m, q = np.ctypeslib.ndpointer(float, 2, flags="F"), ctypes.c_void_p
+    # uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq (both unread for compq "I"), work, iwork, info
+    iwork = np.ctypeslib.ndpointer(np.intc, 1, flags="C")
+    args = ctypes.c_char_p, ctypes.c_char_p, i, v, v, m, i, m, i, q, q, v, iwork, i
+    return ctypes.CFUNCTYPE(None, *args)(address)
+
+
+def _bidiagonal_svd(diag: np.ndarray, subdiag: np.ndarray) -> tuple[np.ndarray, ...]:
+    """U, s, V^T with U diag(s) V^T = B, B[i, i] = diag[i] and B[i + 1, i] = subdiag[i]."""
+    n = diag.size
+    # dbdsdc overwrites both; e gets one spare entry, so that it is never empty
+    s, e = np.array(diag, dtype=float), np.append(subdiag, 0.0)
+    u, vt = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+    size, info = ctypes.c_int(n), ctypes.c_int()
+    work, iwork = np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=np.intc)
+    _dbdsdc()(b"L", b"I", size, s, e, u, size, vt, size, None, None, work, iwork, info)
+    if info.value:
+        raise LapackFailure(f"LAPACK dbdsdc failed with info {info.value}")
+    return u, s, vt
+
+
 def _apply_skew_exponential(subdiag: np.ndarray, block: np.ndarray) -> np.ndarray:
     """expm(G) @ block for the skew-Hermitian tridiagonal generator G.
 
@@ -151,43 +192,30 @@ def _apply_skew_exponential(subdiag: np.ndarray, block: np.ndarray) -> np.ndarra
     symmetric tridiagonal T with off-diagonal |g|, so
     expm(G) = d^dag exp(-iT) d; expm(G) itself is never formed.
 
-    T's zero diagonal gives S T S = -T with S = diag((-1)^k), so its
-    eigenpairs come as (lambda, v) and (-lambda, S v), plus one zero mode
-    v_0 when N is odd. Write a and b for the even and odd rows of v, and
-    x_e, x_o for those of x; v and S v are orthogonal, so a and b each carry
-    half of v's norm. Each pair then contributes
-    2 cos(lambda) [a a^T x_e; b b^T x_o] - 2i sin(lambda) [a b^T x_o; b a^T x_e],
-    and v_0 contributes v_0 (v_0^T x). Only the lambda > 0 half of the
-    full eigenbasis is applied: four (N/2) x (N/2) products with the block
-    in place of two N x N ones.
-
-    That half stands for the whole only while each pair's lambda and
-    -lambda stay apart: the smallest |lambda| must be far above round-off
-    of the largest. For the squeeze and displacement generators up to
-    HARD_CUTOFF_CAP levels it is at least 6e-5 of the largest, and the
-    result agrees with the full eigenbasis's to round-off.
+    T's zero diagonal couples even levels only to odd ones. In even-odd
+    order T = [[0, B], [B^T, 0]], the Golub-Kahan form of the lower
+    bidiagonal B with diagonal |g|[0::2] and subdiagonal |g|[1::2]; for odd
+    N the diagonal is padded with one 0, which adds a fake odd level that
+    nothing couples to and that is dropped. With B = U diag(s) V^T and
+    x_e, x_o the even and odd rows of x,
+    exp(-iT) x = [U cos(s) U^T x_e - i U sin(s) V^T x_o;
+                  V cos(s) V^T x_o - i V sin(s) U^T x_e]:
+    four (N/2) x (N/2) products with the block, exact at every s, 0 included.
     """
-    from scipy.linalg import eigh_tridiagonal  # deferred: only the oracle needs scipy
-
     g = np.asarray(subdiag, dtype=complex)
     if not g.any():
         return np.asarray(block, dtype=complex)
-    dim = g.size + 1
-    lam, vecs = eigh_tridiagonal(np.zeros(dim), np.abs(g))
+    dim, t = g.size + 1, np.abs(g)
+    u, s, vt = _bidiagonal_svd(np.append(t[0::2], np.zeros(dim % 2)), t[1::2])
+    vt = vt[:, : dim // 2]  # V^T on the real odd levels
     # d_k = exp(i p_k) with p_0 = 0, p_{k+1} = p_k - (arg g_k + pi/2)
     d = np.exp(1j * np.concatenate(([0.0], -np.cumsum(np.angle(g) + 0.5 * np.pi))))
     x = d[:, None] * block
-    # the eigenvalues ascend, so the lambda > 0 half is the last dim // 2
-    positive = slice(dim - dim // 2, dim)
-    even, odd = vecs[0::2, positive], vecs[1::2, positive]
-    ye, yo = _real_times_complex(even.T, x[0::2]), _real_times_complex(odd.T, x[1::2])
-    cos, sin = 2.0 * np.cos(lam[positive])[:, None], 2.0j * np.sin(lam[positive])[:, None]
+    ye, yo = _real_times_complex(u.T, x[0::2]), _real_times_complex(vt, x[1::2])
+    cos, sin = np.cos(s)[:, None], 1j * np.sin(s)[:, None]
     out = np.empty_like(x)
-    out[0::2] = _real_times_complex(even, cos * ye - sin * yo)
-    out[1::2] = _real_times_complex(odd, cos * yo - sin * ye)
-    if dim % 2:
-        zero_mode = vecs[:, dim // 2]
-        out += np.outer(zero_mode, zero_mode @ x)
+    out[0::2] = _real_times_complex(u, cos * ye - sin * yo)
+    out[1::2] = _real_times_complex(vt.T, cos * yo - sin * ye)
     out *= d.conj()[:, None]
     return out
 

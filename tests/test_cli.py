@@ -12,6 +12,7 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -505,6 +506,33 @@ def test_overflowed_analytic_result_skips_the_oracle(capsys):
     assert (code, out) == (3, "")
     assert err == "physics error: OverflowError: non-finite result: energy, ergotropy\n"
     assert [str(w.message) for w in caught] == []
+
+
+def _dbdsdc_not_converged(*args):
+    args[-1].value = 1  # info > 0: a singular value did not converge
+
+
+def _eigvalsh_not_converged(matrix):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize(
+    "target, fake",
+    [
+        ("otto_forge.fock._dbdsdc", lambda: _dbdsdc_not_converged),
+        ("numpy.linalg.eigvalsh", _eigvalsh_not_converged),
+    ],
+)
+def test_lapack_failure_in_the_oracle_is_physics_error(capsys, monkeypatch, target, fake):
+    # LinAlgError subclasses ValueError, which would read as a usage error
+    monkeypatch.setattr(target, fake)
+    code, out, err = run_cli(
+        capsys, "ergotropy", "--nth", "0.2", "--r", "0.5", "--alpha-re", "1", "--omega", "3",
+        "--oracle",
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("physics error:")
+    assert err.count("\n") == 1
 
 
 def test_non_finite_sweep_rows_are_flagged(capsys):

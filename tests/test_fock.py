@@ -126,6 +126,45 @@ class TestConstruction:
         block = np.arange(12.0).reshape(4, 3) + 1j
         assert np.array_equal(fock._apply_skew_exponential(np.zeros(3), block), block)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 200])
+    @pytest.mark.parametrize("zero_last", [False, True])
+    def test_bidiagonal_svd_reconstructs_the_matrix(self, n, zero_last):
+        # an odd generator size pads the bidiagonal's diagonal with one 0
+        rng = np.random.default_rng(n)
+        diag, subdiag = rng.random(n) + 0.1, rng.random(n - 1) + 0.1
+        if zero_last:
+            diag[-1] = 0.0
+        b = np.diag(diag) + np.diag(subdiag, -1)
+        u, s, vt = fock._bidiagonal_svd(diag, subdiag)
+        assert np.array_equal(np.diag(diag) + np.diag(subdiag, -1), b)  # inputs kept
+        assert np.max(np.abs((u * s) @ vt - b)) <= 1e-14 * s.max()
+        for q in (u, vt):
+            assert np.max(np.abs(q @ q.T - np.eye(n))) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [2049, 2050])
+    @pytest.mark.parametrize("generator", ["displacement", "squeeze"])
+    def test_exponential_keeps_column_norms(self, dim, generator):
+        if generator == "displacement":
+            g = (1.3 - 0.8j) * np.sqrt(np.arange(1.0, dim))
+        else:  # the odd-parity block of a squeeze by 1.2 e^{0.7i}
+            low = np.arange(1.0, 2 * dim - 2, 2)
+            g = -0.6 * np.exp(0.7j) * np.sqrt((low + 1.0) * (low + 2.0))
+        rng = np.random.default_rng(dim)
+        block = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
+        norms = np.linalg.norm(block, axis=0)
+        result = fock._apply_skew_exponential(g, block)
+        assert np.max(np.abs(np.linalg.norm(result, axis=0) / norms - 1.0)) <= 1e-12
+
+    def test_passive_spectrum_is_the_squared_diagonal(self, monkeypatch):
+        density = build_fock_density(GaussianModeState(2.0), cutoff=64)
+        reference = np.clip(np.linalg.eigvalsh(density.matrix), 0, 1)
+
+        def no_eigvalsh(matrix):
+            raise AssertionError("a diagonal factor's spectrum ran eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert np.max(np.abs(density.eigenvalues - reference)) <= 1e-15
+
     @pytest.mark.parametrize(
         "state, cutoff", [*DRESSED_STATES, (GaussianModeState(1.0), 64)]
     )
