@@ -29,7 +29,6 @@ import sys
 from . import __version__
 from .errors import OttoForgeError
 from .cycles import (
-    CYCLE_EVALUATORS,
     CycleConfig,
     CycleKind,
     DisplacedThermalBath,
@@ -37,7 +36,7 @@ from .cycles import (
     SqueezedDisplacedBath,
     SqueezedThermalBath,
     ThermalBath,
-    audit_laws,
+    cycle_columns,
 )
 from .fock import entropy_fock, ergotropy_of_density, search_density
 from .gaussian import (
@@ -186,9 +185,8 @@ def _cycle_config(args: argparse.Namespace) -> CycleConfig:
 
 
 def _cmd_cycle(args: argparse.Namespace) -> int:
-    config = _cycle_config(args)
-    ledger = CYCLE_EVALUATORS[CycleKind(args.cycle)](config)
-    law = audit_laws(ledger, config)
+    columns = cycle_columns(CycleKind(args.cycle), _cycle_config(args))
+    ledger, law = columns.ledger(0), columns.law(0)
     record = ledger_record(ledger, law) | {
         "clausius_sum": law.clausius_sum,
         "clausius_skipped": law.clausius_skipped,

@@ -58,7 +58,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Union
+from typing import Callable, ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -285,7 +285,7 @@ def standard_cycle(config: CycleConfig) -> StrokeLedger:
     The engine condition is n1 <= n2 + delta_n; in the engine regime the
     efficiency is -(W1+W3)/E2 = 1 - omega1/omega2 regardless of delta_n.
     """
-    return _single_ledger(CycleKind.STANDARD, config)
+    return cycle_columns(CycleKind.STANDARD, config).ledger(0)
 
 
 def modified_cycle(config: CycleConfig) -> StrokeLedger:
@@ -295,7 +295,7 @@ def modified_cycle(config: CycleConfig) -> StrokeLedger:
     there is nothing to undo; the standard ledger is returned, flagged in
     `note`. The undo is treated as exact and cost-free.
     """
-    return _single_ledger(CycleKind.MODIFIED, config)
+    return cycle_columns(CycleKind.MODIFIED, config).ledger(0)
 
 
 def second_kind_cycle(config: CycleConfig) -> StrokeLedger:
@@ -305,23 +305,14 @@ def second_kind_cycle(config: CycleConfig) -> StrokeLedger:
     1 - omega1/omega2 obeys the Carnot bound at the real temperature
     T_real = invert_occupation(omega2, n2 + delta_n).
     """
-    return _single_ledger(CycleKind.SECOND_KIND, config)
+    return cycle_columns(CycleKind.SECOND_KIND, config).ledger(0)
 
 
-def _single_ledger(kind: CycleKind, config: CycleConfig) -> StrokeLedger:
-    """The `kind` ledger of one config: a size-1 kernel call at the bath's delta_n."""
+def cycle_columns(kind: CycleKind, config: CycleConfig) -> LedgerColumns:
+    """The `kind` ledger of one config as size-1 columns: one kernel call at the bath's delta_n."""
     check_applicable(kind, config.bath)
     dn = config.bath.excess_for(config.omega2, config.t2)
-    columns = ledger_columns(kind, config.omega1, config.omega2, config.t1, config.t2, dn)
-    return columns.ledger(0)
-
-
-# The one cycle dispatch table: each cycle kind to its evaluator.
-CYCLE_EVALUATORS = {
-    CycleKind.STANDARD: standard_cycle,
-    CycleKind.MODIFIED: modified_cycle,
-    CycleKind.SECOND_KIND: second_kind_cycle,
-}
+    return ledger_columns(kind, config.omega1, config.omega2, config.t1, config.t2, dn)
 
 
 # Column codes. A regime column holds indices into _REGIMES; an eta-reason
@@ -543,21 +534,17 @@ class LedgerColumns:
     def law(self, i: int) -> LawReport:
         """The law audit of row i's ledger (the row must not have failed)."""
         return _law_report(
-            self.kind is CycleKind.SECOND_KIND,
-            *(getattr(self, name)[i].item() for name in (
-                "law_residual", "q2", "q4", "omega2", "t1", "t2", "n1", "n2", "dn")),
+            self.kind, self.laws, i,
+            *(getattr(self, name)[i].item() for name in ("law_residual", "q2", "n1", "n2", "dn")),
         )
 
-    def excitation_temperatures(self) -> np.ndarray:
-        """invert_occupation(omega2, n2 + dn) per row; a row that fails here gets the error.
-
-        That is Theta for a first-kind bath and T_real for a second-kind one.
-        """
-        return invert_occupation_column(self.omega2, self.n2 + self.dn, self.errors)
-
-    def clausius_sums(self, hot: np.ndarray) -> np.ndarray:
-        """Q2/T_hot + Q4/T1 per row, NaN where a zero temperature skips the check."""
-        return _clausius_sums(self.q2, self.q4, hot, self.t1)
+    @functools.cached_property
+    def laws(self) -> LawColumns:
+        """`law_columns` of every row, computed on first use (a sweep never uses it)."""
+        return law_columns(
+            self.kind, self.omega2, self.t1, self.t2, self.n2, self.dn,
+            self.q2, self.q4, self.eta, self.cop, self.errors,
+        )
 
 
 def _defined(value: np.floating) -> float | None:
@@ -771,15 +758,55 @@ def classify_regime(config: CycleConfig, ledger: StrokeLedger) -> RegimeTag:
     return _REGIMES[code]
 
 
+# The absolute slack of every law inequality: the Clausius sum, the engine
+# and COP bounds and the entropy check.
+INEQUALITY_TOL = 1e-12
+
+
+class LawColumns(NamedTuple):
+    """The law checks of n ledgers, as `law_columns` gives them: one length-n array each."""
+
+    hot: np.ndarray
+    clausius: np.ndarray
+    value: np.ndarray
+    bound: np.ndarray
+
+
+def law_columns(kind: CycleKind, omega2, t1, t2, n2, dn, q2, q4, eta, cop, errors) -> LawColumns:
+    """The hot temperature, Clausius sum, checked value and its bound for `kind` ledgers.
+
+    Theta = invert_occupation(omega2, n2 + dn) is T_real for a second-kind
+    bath, the hot temperature of the Clausius sum Q2/T_hot + Q4/T1, and the
+    fictitious excitation parameter for a first-kind bath, whose T_hot is T2.
+    The sum is NaN where a zero temperature skips it. Standard and
+    second-kind cycles check eta against 1 - T1/Theta where eta is defined
+    and Theta > 0, the modified cycle its COP against T1/(T2 - T1) where it
+    refrigerates and T2 > T1; elsewhere the bound is NaN. A row whose Theta
+    fails gets the error in `errors`.
+    """
+    undefined = np.full(len(t1), np.nan)
+    if kind is CycleKind.MODIFIED:
+        hot, value = t2, cop
+        bound = np.divide(t1, t2 - t1, out=undefined, where=~np.isnan(cop) & (t2 > t1))
+    else:
+        theta = invert_occupation_column(omega2, n2 + dn, errors)
+        hot = theta if kind is CycleKind.SECOND_KIND else t2
+        value = eta
+        bound = 1.0 - np.divide(t1, theta, out=undefined, where=~np.isnan(eta) & (theta > 0.0))
+    with np.errstate(all="ignore"):
+        clausius = np.where((t1 == 0.0) | (hot == 0.0), np.nan, q2 / hot + q4 / t1)
+    return LawColumns(hot, clausius, value, bound)
+
+
 @dataclass(frozen=True)
 class LawReport:
     """First- and second-law audit of a single ledger.
 
     The first-law residual is |sum of all stroke energies| relative to the
-    largest stroke energy. The Clausius sum uses the hot temperature relevant
-    to the cycle (T2 for first-kind baths, T_real for second-kind) and is
-    skipped, with a reason, at zero temperature. The entropy check compares
-    the working fluid's passive entropy change over stroke 2 against Q2/T_hot.
+    largest stroke energy. The hot temperature and the Clausius sum, skipped
+    with a reason at zero temperature, are those of `law_columns`. The entropy
+    check compares the working fluid's passive entropy change over stroke 2
+    against Q2/T_hot.
     """
 
     first_law_residual: float
@@ -793,42 +820,33 @@ class LawReport:
     def entropy_ok(self) -> bool:
         if self.entropy_change is None or self.entropy_bound is None:
             return True
-        return self.entropy_change >= self.entropy_bound - 1e-12
+        return self.entropy_change >= self.entropy_bound - INEQUALITY_TOL
 
 
 def audit_laws(ledger: StrokeLedger, config: CycleConfig) -> LawReport:
     """Check energy conservation and the equilibrium second law on a ledger.
 
-    Never raises; zero-temperature cycles get the Clausius and entropy checks
-    flagged as skipped while the first law is still verified.
+    A size-1 `law_columns` call on the energies of `ledger`, at the occupations
+    and the bath excess of `config`; at zero temperature the Clausius check is
+    skipped while the first law is still verified.
     """
-    second_kind = ledger.kind is CycleKind.SECOND_KIND
     n1, n2 = _occupations(config)
-    dn = config.bath.excess_for(config.omega2, config.t2) if second_kind else 0.0
-    residual = _first_law_residual(
-        ledger.w1, ledger.w2, ledger.w3, ledger.w4, ledger.q2, ledger.q4, ledger.energy_scale
-    ).item()
-    return _law_report(
-        second_kind, residual, ledger.q2, ledger.q4,
-        config.omega2, config.t1, config.t2, n1, n2, dn,
-    )
-
-
-def _clausius_sums(q2, q4, hot, t1) -> np.ndarray:
-    """Q2/T_hot + Q4/T1, NaN where a zero temperature skips the check."""
-    q2, q4, hot, t1 = map(np.asarray, (q2, q4, hot, t1))
-    with np.errstate(all="ignore"):
-        return np.where((t1 == 0.0) | (hot == 0.0), np.nan, q2 / hot + q4 / t1)
+    dn = config.bath.excess_for(config.omega2, config.t2)
+    residual = _first_law_residual(*ledger.energies[:6], ledger.energy_scale).item()
+    # an undefined eta or cop (None) becomes NaN
+    row = (np.array([x], dtype=float) for x in (
+        config.omega2, config.t1, config.t2, n2, dn, ledger.q2, ledger.q4, ledger.eta, ledger.cop))
+    laws = law_columns(ledger.kind, *row, np.full(1, None, dtype=object))
+    return _law_report(ledger.kind, laws, 0, residual, ledger.q2, n1, n2, dn)
 
 
 def _law_report(
-    second_kind: bool, residual: float, q2: float, q4: float,
-    omega2: float, t1: float, t2: float, n1: float, n2: float, dn: float,
+    kind: CycleKind, laws: LawColumns, i: int,
+    residual: float, q2: float, n1: float, n2: float, dn: float,
 ) -> LawReport:
-    # T2 for a first-kind bath; for a second-kind one T_real, where the fluid holds n2 + dn
-    hot = invert_occupation(omega2, n2 + dn) if second_kind else t2
-    passive_c = n2 + dn if second_kind else n2
-    clausius = _clausius_sums(q2, q4, hot, t1).item()
+    """Row i of `laws` as a LawReport, with the entropy check of that row."""
+    hot, clausius = laws.hot[i].item(), laws.clausius[i].item()
+    passive_c = n2 + dn if kind is CycleKind.SECOND_KIND else n2
     skipped = math.isnan(clausius)
     return LawReport(
         first_law_residual=residual,

@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import NotApplicable
 from .cycles import (
+    INEQUALITY_TOL,
     CycleConfig,
     CycleKind,
     DisplacedThermalBath,
@@ -368,10 +369,9 @@ class AuditSummary:
 
 _AUDIT_FAMILIES = ("first-kind", "second-kind", "mixed")
 
-# Audit thresholds: energy closure is relative, the inequality checks are the
-# absolute slacks used throughout the test suite.
+# Energy closure is checked relative to the energy scale; the inequalities
+# of `LedgerColumns.laws` get the absolute slack cycles.INEQUALITY_TOL.
 _FIRST_LAW_TOL = 1e-9
-_INEQUALITY_TOL = 1e-12
 
 # Samples drawn and evaluated at a time: bounds the memory of a campaign.
 _AUDIT_CHUNK = 2048
@@ -446,27 +446,24 @@ def _raise_first_error(errors: np.ndarray) -> None:
         raise errors[failed[0]]
 
 
-def _tally(
-    counts: dict, columns: LedgerColumns, hot: np.ndarray, value: np.ndarray, bound: np.ndarray
-) -> None:
-    """Add the ledgers to AuditSummary's counters; raise the first failed row's error.
+def _tally(counts: dict, columns: LedgerColumns) -> None:
+    """Add the ledgers and their law checks to AuditSummary's counters.
 
-    `value` (eta or COP) is checked against `bound` where it is not NaN;
-    `hot` is each row's hot temperature for the Clausius sum.
+    Raises the first failed row's error, also one that the law checks found.
     """
+    laws = columns.laws
     _raise_first_error(columns.errors)
     if not len(columns):
         return
     residual = columns.law_residual
-    clausius = columns.clausius_sums(hot)
     counts["ledgers"] += len(columns)
     counts["engines"] += int(np.count_nonzero(~np.isnan(columns.eta)))
     counts["max_first_law_residual"] = max(counts["max_first_law_residual"], residual.max().item())
     counts["first_law_violations"] += int(np.count_nonzero(residual > _FIRST_LAW_TOL))
-    counts["clausius_checked"] += int(np.count_nonzero(~np.isnan(clausius)))
-    counts["clausius_violations"] += int(np.count_nonzero(clausius > _INEQUALITY_TOL))
-    counts["bound_checked"] += int(np.count_nonzero(~np.isnan(bound)))
-    counts["bound_violations"] += int(np.count_nonzero(value > bound + _INEQUALITY_TOL))
+    counts["clausius_checked"] += int(np.count_nonzero(~np.isnan(laws.clausius)))
+    counts["clausius_violations"] += int(np.count_nonzero(laws.clausius > INEQUALITY_TOL))
+    counts["bound_checked"] += int(np.count_nonzero(~np.isnan(laws.bound)))
+    counts["bound_violations"] += int(np.count_nonzero(laws.value > laws.bound + INEQUALITY_TOL))
 
 
 def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSummary:
@@ -479,9 +476,9 @@ def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSumma
     row i of the generator's stream of uniforms, nine to a row, which is the
     same whatever the chunks it is drawn in, so the summary depends only on
     `samples`, `seed` and `family`. First-kind samples audit the standard
-    cycle and, when the bath is non-passive, the modified cycle as well
-    (including the COP bound in the dual regime); second-kind samples audit
-    the Carnot bound at the real temperature.
+    cycle and, when the bath is non-passive, the modified one; second-kind
+    samples the second-kind one. Their law checks are `LedgerColumns.laws`
+    (Clausius sums, eta against 1 - T1/Theta, a dual COP against T1/(T2 - T1)).
     """
     samples = int(samples)
     if samples < 1:
@@ -505,34 +502,20 @@ def audit_campaign(samples: int, seed: int, family: str = "mixed") -> AuditSumma
     return AuditSummary(samples=samples, seed=int(seed), family=family, **counts)
 
 
-def _engine_bounds(columns: LedgerColumns, hot: np.ndarray) -> np.ndarray:
-    """1 - T1/hot on the engine rows where hot > 0, NaN elsewhere."""
-    bounded = ~np.isnan(columns.eta) & (hot > 0.0)
-    return 1.0 - np.divide(columns.t1, hot, out=np.full(len(hot), np.nan), where=bounded)
-
-
 def _audit_first_kind(drawn: np.ndarray, counts: dict) -> None:
     omega1, omega2, t1, t2, n2 = (drawn[name] for name in ("omega1", "omega2", "t1", "t2", "n2"))
     errors = np.full(len(drawn), None, dtype=object)
     # dressed_excess, a column at a time
     dn = excess_excitation_column(n2, drawn["r"], drawn["alpha"], errors)
     ledgers = ledger_columns(CycleKind.STANDARD, omega1, omega2, t1, t2, dn, errors, n2=n2)
-    # the efficiency bound 1 - T1/Theta at the fictitious excitation parameter
-    bound = _engine_bounds(ledgers, ledgers.excitation_temperatures())
     # raises unless every row succeeded, so the modified call gets valid n1 and n2
-    _tally(counts, ledgers, t2, ledgers.eta, bound)
-    n1 = ledgers.n1
-    del ledgers, bound
-
+    _tally(counts, ledgers)
     nonpassive = dn > 0.0
-    t1, t2 = t1[nonpassive], t2[nonpassive]
     modified = ledger_columns(
-        CycleKind.MODIFIED, omega1[nonpassive], omega2[nonpassive], t1, t2, dn[nonpassive],
-        n1=n1[nonpassive], n2=n2[nonpassive],
+        CycleKind.MODIFIED, omega1[nonpassive], omega2[nonpassive], t1[nonpassive],
+        t2[nonpassive], dn[nonpassive], n1=ledgers.n1[nonpassive], n2=n2[nonpassive],
     )
-    refrigerates = ~np.isnan(modified.cop) & (t2 > t1)
-    cop_bound = np.divide(t1, t2 - t1, out=np.full(len(t1), np.nan), where=refrigerates)
-    _tally(counts, modified, t2, modified.cop, cop_bound)
+    _tally(counts, modified)
 
 
 def _audit_second_kind(drawn: np.ndarray, counts: dict) -> None:
@@ -540,6 +523,4 @@ def _audit_second_kind(drawn: np.ndarray, counts: dict) -> None:
         CycleKind.SECOND_KIND, drawn["omega1"], drawn["omega2"], drawn["t1"], drawn["t2"],
         drawn["excess"], n2=drawn["n2"],
     )
-    # the Carnot bound at the real temperature, which is also the Clausius sum's hot one
-    hot = ledgers.excitation_temperatures()
-    _tally(counts, ledgers, hot, ledgers.eta, _engine_bounds(ledgers, hot))
+    _tally(counts, ledgers)

@@ -42,8 +42,8 @@ from otto_forge import (
 from otto_forge import cycles
 from otto_forge.cycles import (
     APPLICABLE_BATHS,
-    CYCLE_EVALUATORS,
     ROW_ERRORS,
+    cycle_columns,
     excess_excitation_column,
     invert_occupation_column,
     ledger_columns,
@@ -551,11 +551,11 @@ class TestColumnKernel:
         )
         assert len(columns) == len(configs)
         for i, config in enumerate(configs):
-            single = self.outcome(lambda: CYCLE_EVALUATORS[kind](config))
+            single = self.outcome(lambda: cycle_columns(kind, config).ledger(0))
             assert self.outcome(lambda: columns.ledger(i)) == single
             if not single.startswith(StrokeLedger.__name__):
                 continue
-            ledger = CYCLE_EVALUATORS[kind](config)
+            ledger = cycle_columns(kind, config).ledger(0)
             assert repr(columns.law(i)) == repr(audit_laws(ledger, config))
 
 

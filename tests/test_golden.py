@@ -1,4 +1,5 @@
-"""Byte-exact outputs: the README's fig2 and fig5 tables, two edge sweeps and six audit summaries.
+"""Byte-exact outputs: the README's fig2 and fig5 tables, two edge sweeps, six audit summaries
+and five `cycle` records.
 
 Each SHA-256 pins every byte of one command's output. A change to any of
 them changes a published number, so it must be deliberate and recorded.
@@ -66,6 +67,30 @@ GOLDEN = {
     "audit-mixed-chunks": (
         ["audit", "--samples", "5000", "--seed", "7", "--family", "mixed"],
         "ea5b4c6a9afadcbc85cdc71553f95ad5094eaccf29a01e90604f2fedc29a05d1",
+    ),
+    "cycle-readme": (
+        ["cycle", *README_POINT],
+        "e883ae458e268ad5627573500b99621b7fd5210e560e92f3a0528a477fe6316f",
+    ),
+    # n2 < n1: the dual engine/refrigerator, with its COP and w_inv
+    "cycle-dual": (
+        ["cycle", "--omega1", "3", *README_POINT[2:], "--cycle", "modified"],
+        "5dcd7f8f61f8bc3e979fdaae4072eaf5d8bb0674360fc1f5bdb3bb6b97bb3fe2",
+    ),
+    # the Clausius sum at T_real
+    "cycle-second-kind": (
+        ["cycle", *README_POINT[:-1], "second-kind:0.3", "--cycle", "second-kind"],
+        "c2c2834291f272b84251473e211ec083edc17608951b721e7a4b3abcb4870db1",
+    ),
+    # T1 = T2 = 0: the Clausius check is skipped
+    "cycle-zero-temperature": (
+        ["cycle", *README_POINT[:4], "--t1", "0", "--t2", "0", *README_POINT[-2:]],
+        "4a9043dc5759f76423cd9349d65480a2c9def1446b3c23a30577a615fc4d5c33",
+    ),
+    # delta_n = 0: the modified ledger falls back to the standard one, with its note
+    "cycle-nothing-to-undo": (
+        ["cycle", *README_POINT[:-1], "squeezed:0", "--cycle", "modified"],
+        "9d76fe92b47fd4f4504edcd8b3803ba95577e681fa894532d393a60206be1369",
     ),
 }
 

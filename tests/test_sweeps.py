@@ -24,13 +24,18 @@ from otto_forge import (
     SweepSpec,
     ThermalBath,
     audit_campaign,
+    audit_laws,
     emit_table,
+    fictitious_temperature,
+    modified_cycle,
     occupation,
     run_sweep,
+    second_kind_cycle,
+    standard_cycle,
 )
-from otto_forge import sweeps
+from otto_forge import cycles, sweeps
 from otto_forge.cli import main
-from otto_forge.cycles import CYCLE_EVALUATORS, ledger_columns
+from otto_forge.cycles import cycle_columns, ledger_columns
 from otto_forge.sweeps import (
     _AUDIT_CHUNK,
     _BLOCK_ROWS,
@@ -111,7 +116,7 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="does not apply"):
             SweepSpec(base, SweepAxis.FREQUENCY_RATIO, 0.1, 1.0, 5, kind)
         with pytest.raises(NotApplicable, match="does not apply"):
-            CYCLE_EVALUATORS[kind](base)
+            cycle_columns(kind, base).ledger(0)
 
     @pytest.mark.parametrize(
         "bath, kind",
@@ -130,7 +135,7 @@ class TestSweepSpecValidation:
         base = CycleConfig(7, 20, 2, 10, bath)
         rows = run_sweep(SweepSpec(base, SweepAxis.FREQUENCY_RATIO, 0.1, 1.0, 5, kind))
         assert all(row.error is None for row in rows)
-        CYCLE_EVALUATORS[kind](base)  # raises no NotApplicable
+        cycle_columns(kind, base).ledger(0)  # raises no NotApplicable
 
     def test_cold_temperature_stays_below_t2(self):
         with pytest.raises(ValueError):
@@ -430,6 +435,20 @@ class TestEmitTable:
         assert capsys.readouterr().out.count("\r\n") == steps + 1
         assert calls == [_BLOCK_ROWS, _BLOCK_ROWS, 5]
 
+    def test_sweeps_compute_no_law_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a sweep computed the law checks")
+
+        monkeypatch.setattr(cycles, "law_columns", refuse)
+        spec = SweepSpec(FIG5_BASE, SweepAxis.FREQUENCY_RATIO, 1e-4, 1.0, 10_000)
+        table = b"".join(sweep_blocks(spec, "csv"))
+        assert table.count(b"\r\n") == 10_001
+        assert len(json.loads(b"".join(sweep_blocks(spec, "json")))) == 10_000
+        rows = run_sweep(spec)
+        assert rows[0].ledger is not None
+        with pytest.raises(AssertionError, match="computed the law checks"):
+            rows[0].law
+
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
             emit_table([])
@@ -498,6 +517,72 @@ class TestAuditCampaign:
             monkeypatch.setattr(sweeps, "_AUDIT_CHUNK", chunk)
             summaries.append(audit_campaign(5000, seed=7, family=family))
         assert summaries[0] == summaries[1]
+
+
+def first_kind_bath(r, alpha):
+    """The bath an audit's first-kind sample dresses its Gibbs state with."""
+    if r and alpha:
+        return SqueezedDisplacedBath(r, alpha)
+    if r:
+        return SqueezedThermalBath(r)
+    return DisplacedThermalBath(alpha) if alpha else ThermalBath()
+
+
+def recount(family, seed, samples):
+    """An audit's summary, recounted sample by sample with the scalar evaluators.
+
+    Slacks as the audit's: 1e-9 relative on energy closure, 1e-12 absolute on
+    the inequalities.
+    """
+    (drawn,) = _draw_chunks(np.random.default_rng(seed), family, [samples])
+    counts = dict.fromkeys(
+        ("ledgers", "engines", "first_law_violations", "clausius_checked",
+         "clausius_violations", "bound_checked", "bound_violations"), 0)
+    counts["max_first_law_residual"] = 0.0
+
+    def tally(ledger, config, theta=None):
+        law = audit_laws(ledger, config)
+        counts["ledgers"] += 1
+        counts["engines"] += ledger.eta is not None
+        counts["max_first_law_residual"] = max(
+            counts["max_first_law_residual"], law.first_law_residual)
+        counts["first_law_violations"] += law.first_law_residual > 1e-9
+        if law.clausius_sum is not None:
+            counts["clausius_checked"] += 1
+            counts["clausius_violations"] += law.clausius_sum > 1e-12
+        if theta is None:  # the COP bound of a modified ledger
+            value, checked = ledger.cop, ledger.cop is not None and config.t2 > config.t1
+            bound = config.t1 / (config.t2 - config.t1) if checked else None
+        else:  # 1 - T1/Theta on an engine
+            value, checked = ledger.eta, ledger.eta is not None and theta > 0.0
+            bound = 1.0 - config.t1 / theta if checked else None
+        if checked:
+            counts["bound_checked"] += 1
+            counts["bound_violations"] += value > bound + 1e-12
+
+    for omega1, omega2, t1, t2, second, r, alpha, excess, n2 in drawn.tolist():
+        if second:
+            config = CycleConfig(omega1, omega2, t1, t2, SecondKindBath(excess=excess))
+            tally(second_kind_cycle(config), config, fictitious_temperature(omega2, n2, excess))
+            continue
+        config = CycleConfig(omega1, omega2, t1, t2, first_kind_bath(r, alpha))
+        dn = config.bath.excess_for(omega2, t2)
+        tally(standard_cycle(config), config, fictitious_temperature(omega2, n2, dn))
+        if dn > 0.0:
+            tally(modified_cycle(config), config)
+    return counts
+
+
+class TestAuditRecount:
+    """Each audit counter is what `cycle`'s evaluators and law audit give sample by sample."""
+
+    @pytest.mark.parametrize("family", ["first-kind", "second-kind", "mixed"])
+    @pytest.mark.parametrize("seed", [5, 2**64])
+    def test_counters_match_scalar_recount(self, family, seed):
+        summary = audit_campaign(300, seed=seed, family=family)
+        expected = recount(family, seed, 300)
+        assert {name: getattr(summary, name) for name in expected} == expected
+        assert summary.bound_checked > 0 and summary.clausius_checked > 0
 
 
 def reference_sample(family, row):
