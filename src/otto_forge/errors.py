@@ -23,7 +23,7 @@ class CutoffSearchFailed(OttoForgeError):
 
 
 class DensityNotPositive(OttoForgeError):
-    """A density matrix has an eigenvalue below the round-off floor."""
+    """A density's spectrum could not be certified to within the round-off floor."""
 
 
 class LapackFailure(OttoForgeError):

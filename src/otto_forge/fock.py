@@ -17,10 +17,10 @@ with a zero diagonal, so it couples even levels only to odd ones: it is the
 Golub-Kahan form of a bidiagonal matrix B of half its size, and its
 exponential follows from the SVD of B (LAPACK's divide-and-conquer dbdsdc),
 applied to the N x K block split into even and odd rows. The populations
-are the squared row norms of W; the spectrum is an independent eigvalsh of
-the K x K Gram matrix W^dag W, whose eigenvalues are the nonzero ones of
-W W^dag, or, when W is diagonal, its sorted squared diagonal. No N x N
-matrix is formed unless `FockDensity.matrix` is read.
+are the squared row norms of W, and the spectrum its sorted squared column
+norms, padded with zeros: the Gram matrix W^dag W's diagonal, certified to
+its off-diagonal Frobenius norm by Weyl's inequality. No N x N matrix is
+formed unless `FockDensity.matrix` is read.
 
 One numerical subtlety governs the guards: because the truncated dressing
 is unitary at any cutoff, the trace of the built state stays near one even
@@ -53,9 +53,7 @@ from .gaussian import GaussianModeState
 DEFAULT_TAIL_TOL = 1e-9
 HARD_CUTOFF_CAP = 4096
 
-# Round-off policy for spectra: eigenvalues in [-1e-10, 0) are clipped to 0,
-# anything lower means the truncation itself is broken.
-_EIGENVALUE_FLOOR = -1e-10
+_EIGENVALUE_FLOOR = 1e-10  # a spectrum not certified to this means a broken truncation
 _ENTROPY_FLOOR = 1e-15
 
 
@@ -103,21 +101,22 @@ class FockDensity:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Spectrum in ascending order, clipped to [0, 1] after round-off checks."""
+        """Spectrum in ascending order: W's sorted squared column norms, clipped to [0, 1]."""
         w = self.factor
         diag = np.diagonal(w)
-        # a diagonal factor (a passive state's) has its sorted squared diagonal as spectrum
+        # a diagonal factor (a passive state's) has nothing off its diagonal to bound
         if w.shape[0] == w.shape[1] and np.count_nonzero(w) == np.count_nonzero(diag):
             ev = np.sort(np.abs(diag) ** 2)
         else:
-            try:
-                ev = np.linalg.eigvalsh(w.conj().T @ w)
-            except np.linalg.LinAlgError as exc:
-                raise LapackFailure(f"spectrum of the Gram matrix: {exc}") from exc
-        if ev[0] < _EIGENVALUE_FLOOR:
-            raise DensityNotPositive(
-                f"eigenvalue {ev[0]:.3e} below the {_EIGENVALUE_FLOOR:.0e} round-off floor"
-            )
+            from scipy.linalg.blas import zherk  # deferred: only the oracle needs scipy
+
+            # Weyl: G = W^dag W has its eigenvalues within ||G - diag G||_F of its diagonal
+            gram = zherk(1.0, w.T)  # conj(G)'s upper triangle; w.T is Fortran-ordered, so uncopied
+            ev = np.sort(gram.diagonal().real)
+            np.fill_diagonal(gram, 0.0)
+            bound = math.sqrt(2.0) * np.linalg.norm(gram)
+            if not bound <= _EIGENVALUE_FLOOR:
+                raise DensityNotPositive(f"spectrum error bound {bound:.1e} > {_EIGENVALUE_FLOOR}")
         return np.clip(np.concatenate((np.zeros(self.dim - ev.size), ev)), 0.0, 1.0)
 
     def populations(self) -> np.ndarray:

@@ -12,7 +12,6 @@ import sys
 import tempfile
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -512,19 +511,21 @@ def _dbdsdc_not_converged(*args):
     args[-1].value = 1  # info > 0: a singular value did not converge
 
 
-def _eigvalsh_not_converged(matrix):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def _uncertified_gram(alpha, a):
+    gram = alpha * (a @ a.conj().T)
+    gram[0, 1] += 1e-6  # an off-diagonal entry above the spectrum's 1e-10 floor
+    return gram
 
 
 @pytest.mark.parametrize(
     "target, fake",
     [
         ("otto_forge.fock._dbdsdc", lambda: _dbdsdc_not_converged),
-        ("numpy.linalg.eigvalsh", _eigvalsh_not_converged),
+        ("scipy.linalg.blas.zherk", _uncertified_gram),
     ],
 )
 def test_lapack_failure_in_the_oracle_is_physics_error(capsys, monkeypatch, target, fake):
-    # LinAlgError subclasses ValueError, which would read as a usage error
+    # a failed LAPACK call and an uncertified spectrum are physics errors, not usage errors
     monkeypatch.setattr(target, fake)
     code, out, err = run_cli(
         capsys, "ergotropy", "--nth", "0.2", "--r", "0.5", "--alpha-re", "1", "--omega", "3",

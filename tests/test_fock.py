@@ -159,10 +159,10 @@ class TestConstruction:
         density = build_fock_density(GaussianModeState(2.0), cutoff=64)
         reference = np.clip(np.linalg.eigvalsh(density.matrix), 0, 1)
 
-        def no_eigvalsh(matrix):
-            raise AssertionError("a diagonal factor's spectrum ran eigvalsh")
+        def no_gram(*args, **kwargs):
+            raise AssertionError("a diagonal factor's spectrum formed the Gram matrix")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        monkeypatch.setattr("scipy.linalg.blas.zherk", no_gram)
         assert np.max(np.abs(density.eigenvalues - reference)) <= 1e-15
 
     @pytest.mark.parametrize(
@@ -206,13 +206,26 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FockDensity(factor=factor, trace_deficit=0.0)
 
-    def test_non_positive_rejected(self, monkeypatch):
-        # a Gram matrix is positive to round-off, so the floor is reached
-        # through a spectrum that lies below it
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda gram: np.array([-0.1, 1.1]))
-        density = FockDensity(factor=np.eye(3, 2), trace_deficit=0.0)
+    def test_non_positive_rejected(self):
+        # two equal columns: their squared norms are not the spectrum
         with pytest.raises(DensityNotPositive):
-            density.eigenvalues
+            FockDensity(factor=np.full((3, 2), 0.5), trace_deficit=0.0).eigenvalues
+
+    @pytest.mark.parametrize("perturbation, certified", [(1e-6, False), (1e-13, True)])
+    def test_certificate_floor(self, perturbation, certified):
+        # a unitary times diag(sqrt(p)) has orthogonal columns, and one
+        # perturbed entry moves the Gram off-diagonal by about as much
+        rng = np.random.default_rng(7)
+        unitary, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        p = np.array([0.5, 0.3, 0.15, 0.05])
+        factor = unitary[:, :4] * np.sqrt(p)
+        factor[0, 0] += perturbation
+        density = FockDensity(factor=factor, trace_deficit=0.0)
+        if not certified:
+            with pytest.raises(DensityNotPositive):
+                density.eigenvalues
+            return
+        assert np.max(np.abs(density.eigenvalues - np.sort(np.append(p, [0.0, 0.0])))) <= 1e-12
 
 
 class TestErgotropyOracle:
