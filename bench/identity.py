@@ -67,14 +67,15 @@ FAILING_SWEEPS = (
     (BASES[4], "thermal", "standard", "frequency-ratio", "0.1", "1"),       # every row
     (BASES[1], "squeezed:0.5", "modified", "delta-n", "-1", "1"),
 )
-# perfbench's oracle states (n_th, r, alpha), cutoffs 52 to 747, then edge states
+# perfbench's oracle states (n_th, r, alpha), cutoffs 52 to 747, then edge states;
+# the last is displaced and keeps every level (627 levels, K = N)
 ERGOTROPY_STATES = (
     ("0.2", "0.5", "1", "0"), ("0.1", "0.7", "1.2", "0"), ("0.4", "0.6", "1", "0"),
     ("0.6", "0.7", "1", "0"), ("0.3", "1", "1.5", "0"),
     ("0.5", "1.1", "0.7071067811865476", "0.7071067811865476"), ("0.5", "1.3", "1", "0"),
     ("1.2", "1", "-1.0606601717798212", "1.0606601717798212"), ("2", "1.2", "2", "0"),
     ("0", "0", "0", "0"), ("10", "1e-10", "0", "0"), ("0.5", "0", "0", "1"),
-    ("-1", "0", "0", "0"),
+    ("-1", "0", "0", "0"), ("20", "0", "1", "0"),
 )
 EDGE_ERGOTROPY = (
     ["--nth", "0.1", "--omega", "1e308"],

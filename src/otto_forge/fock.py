@@ -7,20 +7,21 @@ by pairing density-matrix eigenvalues (sorted descending) with oscillator
 levels (sorted ascending). The analytic and spectral routes validate each
 other; neither is allowed to call into the other's formulas.
 
-A state is held once, as its low-rank factor. The truncated exponentials
-are exactly unitary, so rho = W W^dag with W = D S [sqrt(p_0) e_0 ...
-sqrt(p_{K-1}) e_{K-1}], where K counts the thermal levels whose population
-is above double round-off relative to p_0 (the dropped columns carry less
-than round-off; an undressed thermal state keeps all of them, exact level
-by level). Each generator is tridiagonal (the squeeze one per parity block)
-with a zero diagonal, so it couples even levels only to odd ones: it is the
-Golub-Kahan form of a bidiagonal matrix B of half its size, and its
-exponential follows from the SVD of B (LAPACK's divide-and-conquer dbdsdc),
-applied to the N x K block split into even and odd rows. The populations
-are the squared row norms of W, and the spectrum its sorted squared column
-norms, padded with zeros: the Gram matrix W^dag W's diagonal, certified to
-its off-diagonal Frobenius norm by Weyl's inequality. No N x N matrix is
-formed unless `FockDensity.matrix` is read.
+A FockDensity holds one thing: its state's low-rank factor W. The truncated
+exponentials are exactly unitary, so rho = W W^dag with W = D S [sqrt(p_0)
+e_0 ... sqrt(p_{K-1}) e_{K-1}], where K counts the thermal levels whose
+population is above double round-off relative to p_0 (the dropped columns
+carry less than round-off; an undressed thermal state keeps all of them,
+exact level by level). Each generator is tridiagonal (the squeeze one per
+parity block) with a zero diagonal, so it couples even levels only to odd
+ones: it is the Golub-Kahan form of a bidiagonal matrix B of half its size,
+and its exponential follows from the SVD of B (LAPACK's divide-and-conquer
+dbdsdc), applied to the N x K block split into even and odd rows and written
+back into W. The populations, the trace deficit and the edge mass are read
+once from W's squared row norms, and the spectrum from its sorted squared
+column norms, padded with zeros: the Gram matrix W^dag W's diagonal,
+certified to its off-diagonal Frobenius norm by Weyl's inequality. No N x N
+matrix is formed unless `FockDensity.matrix` is read.
 
 One numerical subtlety governs the guards: because the truncated dressing
 is unitary at any cutoff, the trace of the built state stays near one even
@@ -28,7 +29,7 @@ when the cutoff is far too small - the mass that should leak past the cutoff
 is reflected back instead. The raw trace deficit therefore only measures the
 thermal diagonal's tail, and the guards additionally inspect the occupation
 mass parked on the top Fock levels (the reflected mass lands there), which
-does detect an unresolved state. Both are read from the row norms of W.
+does detect an unresolved state.
 
 The cutoff search uses the tail-decay law: the tail bound falls roughly as
 exp(-2N/V) with V = (2 n_th + 1) e^{2r} + 2|alpha|^2, so it starts at
@@ -67,14 +68,11 @@ def thermal_probabilities(n_th: float, dim: int) -> np.ndarray:
 class FockDensity:
     """A state rho = W W^dag on a truncated Fock basis, held as its N x K factor W.
 
-    trace_deficit is 1 - trace (the diagonal tail mass lost to truncation);
-    edge_mass is the occupation found on the top levels of the truncated
-    basis, which bounds the mass the truncated unitaries failed to resolve.
+    W is the only state held. The populations (W's squared row norms) are
+    read from it once, and the trace deficit and edge mass from them.
     """
 
     factor: np.ndarray
-    trace_deficit: float
-    edge_mass: float = 0.0
 
     def __post_init__(self) -> None:
         w = np.array(self.factor)
@@ -93,6 +91,23 @@ class FockDensity:
         m = self.factor @ self.factor.conj().T
         m.setflags(write=False)
         return m
+
+    @cached_property
+    def _squared_row_norms(self) -> np.ndarray:
+        norms = np.einsum("ij,ij->i", self.factor, self.factor.conj()).real
+        norms.setflags(write=False)
+        return norms
+
+    @property
+    def trace_deficit(self) -> float:
+        """1 - trace: the diagonal tail mass lost to truncation."""
+        return 1.0 - float(np.sum(self._squared_row_norms))
+
+    @property
+    def edge_mass(self) -> float:
+        """Occupation on the top levels (level 0 excluded): it bounds the unresolved mass."""
+        lo = max(1, self.dim - _edge_window(self.dim))
+        return float(np.sum(self._squared_row_norms[lo:]))
 
     @property
     def tail_bound(self) -> float:
@@ -120,8 +135,8 @@ class FockDensity:
         return np.clip(np.concatenate((np.zeros(self.dim - ev.size), ev)), 0.0, 1.0)
 
     def populations(self) -> np.ndarray:
-        """Diagonal occupation probabilities: the squared row norms of W."""
-        return _squared_row_norms(self.factor)
+        """Diagonal occupation probabilities: the squared row norms of W, read-only."""
+        return self._squared_row_norms
 
     def mean_occupation(self) -> float:
         return float(self.populations() @ np.arange(self.dim))
@@ -139,10 +154,6 @@ def _ladder_energy(weights: np.ndarray, omega: float) -> float:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return float(weights @ (omega * (np.arange(weights.size) + 0.5)))
-
-
-def _squared_row_norms(w: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", w, w.conj()).real
 
 
 def _real_times_complex(real: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -182,8 +193,8 @@ def _bidiagonal_svd(diag: np.ndarray, subdiag: np.ndarray) -> tuple[np.ndarray, 
     return u, s, vt
 
 
-def _apply_skew_exponential(subdiag: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """expm(G) @ block for the skew-Hermitian tridiagonal generator G.
+def _apply_skew_exponential(subdiag: np.ndarray, block: np.ndarray) -> None:
+    """Overwrite the complex block with expm(G) @ block, for the skew-Hermitian tridiagonal G.
 
     G has zero diagonal, G[k+1, k] = g_k and G[k, k+1] = -conj(g_k), with
     every g_k nonzero or all of them zero. A unit-modulus diagonal
@@ -200,23 +211,22 @@ def _apply_skew_exponential(subdiag: np.ndarray, block: np.ndarray) -> np.ndarra
     exp(-iT) x = [U cos(s) U^T x_e - i U sin(s) V^T x_o;
                   V cos(s) V^T x_o - i V sin(s) U^T x_e]:
     four (N/2) x (N/2) products with the block, exact at every s, 0 included.
+    Both halves are read before either is written back.
     """
     g = np.asarray(subdiag, dtype=complex)
     if not g.any():
-        return np.asarray(block, dtype=complex)
+        return
     dim, t = g.size + 1, np.abs(g)
     u, s, vt = _bidiagonal_svd(np.append(t[0::2], np.zeros(dim % 2)), t[1::2])
     vt = vt[:, : dim // 2]  # V^T on the real odd levels
     # d_k = exp(i p_k) with p_0 = 0, p_{k+1} = p_k - (arg g_k + pi/2)
     d = np.exp(1j * np.concatenate(([0.0], -np.cumsum(np.angle(g) + 0.5 * np.pi))))
-    x = d[:, None] * block
-    ye, yo = _real_times_complex(u.T, x[0::2]), _real_times_complex(vt, x[1::2])
+    np.multiply(d[:, None], block, out=block)  # d first: a complex product rounds by operand order
+    ye, yo = _real_times_complex(u.T, block[0::2]), _real_times_complex(vt, block[1::2])
     cos, sin = np.cos(s)[:, None], 1j * np.sin(s)[:, None]
-    out = np.empty_like(x)
-    out[0::2] = _real_times_complex(u, cos * ye - sin * yo)
-    out[1::2] = _real_times_complex(vt.T, cos * yo - sin * ye)
-    out *= d.conj()[:, None]
-    return out
+    block[0::2] = _real_times_complex(u, cos * ye - sin * yo)
+    block[1::2] = _real_times_complex(vt.T, cos * yo - sin * ye)
+    block *= d.conj()[:, None]
 
 
 def _dressed_thermal_columns(state: GaussianModeState, p: np.ndarray) -> np.ndarray:
@@ -241,23 +251,15 @@ def _dressed_thermal_columns(state: GaussianModeState, p: np.ndarray) -> np.ndar
                 continue
             low = np.arange(offset, dim - 2, 2, dtype=float)  # each level but the block's top
             subdiag = -0.5 * xi * np.sqrt((low + 1.0) * (low + 2.0))
-            block[...] = _apply_skew_exponential(subdiag, block)
+            _apply_skew_exponential(subdiag, block)
     if state.alpha != 0j:
-        k = np.arange(1, dim, dtype=float)
-        w = _apply_skew_exponential(state.alpha * np.sqrt(k), w)
+        _apply_skew_exponential(state.alpha * np.sqrt(np.arange(1, dim, dtype=float)), w)
     return w
 
 
 def _edge_window(dim: int) -> int:
     """How many top levels of a dim-level basis count as its edge."""
     return max(4, dim // 16)
-
-
-def _edge_mass(populations: np.ndarray) -> float:
-    """Occupation parked on the top levels (level 0 never counts as edge)."""
-    dim = populations.shape[0]
-    lo = max(1, dim - _edge_window(dim))
-    return float(np.sum(populations[lo:]))
 
 
 def build_fock_density(
@@ -268,9 +270,8 @@ def build_fock_density(
     The squeeze and displacement are exponentials of truncated generators
     (computed numerically, not from closed-form matrix elements), applied to
     the populated columns of the truncated geometric thermal diagonal, so
-    rho = W W^dag, held as W. Raises CutoffTooSmall when the tail bound
-    (trace deficit or edge occupation, both read from the row norms of W)
-    exceeds tail_tol.
+    rho = W W^dag, held as W. Raises CutoffTooSmall when the density's
+    tail_bound, the larger of its trace deficit and edge mass, exceeds tail_tol.
     """
     cutoff = int(cutoff)
     if cutoff < 1:
@@ -278,20 +279,17 @@ def build_fock_density(
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol!r}")
 
-    w = _dressed_thermal_columns(state, thermal_probabilities(state.n_th, cutoff))
-    populations = _squared_row_norms(w)
-
-    deficit = 1.0 - float(np.sum(populations))
-    edge = _edge_mass(populations)
-    tail = max(deficit, edge)
+    p = thermal_probabilities(state.n_th, cutoff)
+    density = FockDensity(_dressed_thermal_columns(state, p))
+    tail = density.tail_bound
     if tail > tail_tol:
         raise CutoffTooSmall(
-            f"cutoff {cutoff} leaves tail mass {tail:.3e} "
-            f"(trace deficit {deficit:.3e}, edge occupation {edge:.3e}) "
+            f"cutoff {cutoff} leaves tail mass {tail:.3e} (trace deficit "
+            f"{density.trace_deficit:.3e}, edge occupation {density.edge_mass:.3e}) "
             f"above the tolerance {tail_tol:.3e}",
             tail_mass=tail,
         )
-    return FockDensity(factor=w, trace_deficit=deficit, edge_mass=edge)
+    return density
 
 
 def ergotropy_of_density(density: FockDensity, omega: float) -> float:

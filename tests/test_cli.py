@@ -299,6 +299,7 @@ class TestAuditCommand:
         ("cycle", *FIG5, {"bath": {"squeezed": 0.5}}),
         ("audit", "--samples", "1000000000000", "--seed", "1"),
         ("cycle", *FIG5, "--bath", "thermal:1"),
+        ("cycle", *FIG5, "--bath", "warm:1"),
         ("cycle", *FIG5, "--bath", "second-kind:0.1+squeezed:0.5"),
         ("cycle", *FIG5, "--bath", "squeezed:-1"),
         ("cycle", "--omega1", "7", "--omega2", "20", "--t1", "-1", "--t2", "10",

@@ -309,6 +309,10 @@ class TestSecondKindCycle:
             SecondKindBath()
         with pytest.raises(ValueError):
             SecondKindBath(excess=0.1, t_real=5.0)
+        with pytest.raises(ValueError):
+            SecondKindBath(excess=math.nan)
+        with pytest.raises(ValueError):
+            SecondKindBath(t_real=-1.0)
         with pytest.raises(NotApplicable):
             second_kind_cycle(fig5_config(ThermalBath()))
 

@@ -8,6 +8,7 @@ compared on random states.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,13 +119,30 @@ class TestConstruction:
         g = 0.7 * np.sqrt(np.arange(1.0, dim)) * np.exp(2j * np.pi * rng.random(dim - 1))
         block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
         generator = np.diag(g, -1) - np.diag(g.conj(), 1)
-        result = fock._apply_skew_exponential(g, block)
+        result = block.copy()
+        assert fock._apply_skew_exponential(g, result) is None
         assert np.max(np.abs(result - expm(generator) @ block)) <= 1e-12
 
     def test_zero_generator_leaves_the_block(self):
         # a squeeze amplitude of 5e-324 halves to an all-zero generator
         block = np.arange(12.0).reshape(4, 3) + 1j
-        assert np.array_equal(fock._apply_skew_exponential(np.zeros(3), block), block)
+        result = block.copy()
+        fock._apply_skew_exponential(np.zeros(3), result)
+        assert np.array_equal(result, block)
+
+    def test_exponential_overwrites_one_parity_block_only(self):
+        # the squeeze applies it to the strided view of one parity block
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=(21, 9)) + 1j * rng.normal(size=(21, 9))
+        before = w.copy()
+        block = w[1::2, 1::2]
+        g = 0.4 * np.exp(0.3j) * np.sqrt(np.arange(1.0, block.shape[0]))
+        expected = expm(np.diag(g, -1) - np.diag(g.conj(), 1)) @ block
+        fock._apply_skew_exponential(g, block)
+        assert np.max(np.abs(w[1::2, 1::2] - expected)) <= 1e-12
+        untouched = np.ones(w.shape, dtype=bool)
+        untouched[1::2, 1::2] = False
+        assert np.array_equal(w[untouched], before[untouched])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 200])
     @pytest.mark.parametrize("zero_last", [False, True])
@@ -152,7 +170,8 @@ class TestConstruction:
         rng = np.random.default_rng(dim)
         block = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
         norms = np.linalg.norm(block, axis=0)
-        result = fock._apply_skew_exponential(g, block)
+        result = block.copy()
+        fock._apply_skew_exponential(g, result)
         assert np.max(np.abs(np.linalg.norm(result, axis=0) / norms - 1.0)) <= 1e-12
 
     def test_passive_spectrum_is_the_squared_diagonal(self, monkeypatch):
@@ -200,16 +219,45 @@ class TestConstruction:
             build_fock_density(GaussianModeState(0.0), cutoff=0)
         with pytest.raises(ValueError):
             build_fock_density(GaussianModeState(0.0), cutoff=8, tail_tol=0.0)
+        with pytest.raises(ValueError):
+            choose_cutoff(GaussianModeState(0.0), 0.0)
+
+    @pytest.mark.parametrize("state, cutoff", DRESSED_STATES)
+    def test_tail_values_are_read_from_the_factor(self, state, cutoff):
+        built = build_fock_density(state, cutoff, tail_tol=1e-6)
+        density = FockDensity(built.factor)
+        for name in ("trace_deficit", "edge_mass", "tail_bound"):
+            assert getattr(density, name) == getattr(built, name)
+        norms = np.sum(np.abs(built.factor) ** 2, axis=1)
+        window = max(4, cutoff // 16)
+        assert density.trace_deficit == pytest.approx(1.0 - norms.sum(), abs=1e-14)
+        assert density.edge_mass == pytest.approx(norms[cutoff - window :].sum(), rel=1e-12)
+        assert density.tail_bound == max(density.trace_deficit, density.edge_mass)
+        populations = density.populations()
+        assert populations is density.populations()
+        assert not populations.flags.writeable
+
+    def test_build_peaks_below_four_factors(self):
+        state = GaussianModeState(20, alpha=1.0)
+        build_fock_density(state, 600, 0.5)  # warm-up: first-call caches and imports
+        tracemalloc.start()
+        try:
+            density = build_fock_density(state, 600, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert density.factor.shape == (600, 600)
+        assert peak <= 4 * density.factor.nbytes
 
     @pytest.mark.parametrize("factor", [np.ones(3), np.ones((2, 3))])
     def test_malformed_factor_rejected(self, factor):
         with pytest.raises(ValueError):
-            FockDensity(factor=factor, trace_deficit=0.0)
+            FockDensity(factor=factor)
 
     def test_non_positive_rejected(self):
         # two equal columns: their squared norms are not the spectrum
         with pytest.raises(DensityNotPositive):
-            FockDensity(factor=np.full((3, 2), 0.5), trace_deficit=0.0).eigenvalues
+            FockDensity(factor=np.full((3, 2), 0.5)).eigenvalues
 
     @pytest.mark.parametrize("perturbation, certified", [(1e-6, False), (1e-13, True)])
     def test_certificate_floor(self, perturbation, certified):
@@ -220,7 +268,7 @@ class TestConstruction:
         p = np.array([0.5, 0.3, 0.15, 0.05])
         factor = unitary[:, :4] * np.sqrt(p)
         factor[0, 0] += perturbation
-        density = FockDensity(factor=factor, trace_deficit=0.0)
+        density = FockDensity(factor=factor)
         if not certified:
             with pytest.raises(DensityNotPositive):
                 density.eigenvalues
@@ -403,6 +451,28 @@ class TestChooseCutoff:
         assert choose_cutoff(state, 1e-12) == 79
         with pytest.raises(CutoffTooSmall):
             build_fock_density(state, 80, tail_tol=1e-12)
+
+    def test_failing_probe_below_a_window_step(self, monkeypatch):
+        # 97 fails and 98 passes; the window widens between 95 and 96, so the
+        # search probes 95 too, and its failure settles the result at 98
+        probes = []
+        build = fock.build_fock_density
+
+        def recorded(state, cutoff, tail_tol):
+            probes.append(cutoff)
+            return build(state, cutoff, tail_tol)
+
+        monkeypatch.setattr(fock, "build_fock_density", recorded)
+        state = GaussianModeState(1.5, r=0.42, alpha=2.18)
+        assert search_density(state, 1e-9).dim == 98
+        assert probes == [195, 98, 97, 95]
+        assert fock._edge_window(96) > fock._edge_window(95)
+        for cutoff in probes:  # no probe sits within round-off of the tolerance
+            try:
+                tail = build(state, cutoff, 1e-9).tail_bound
+            except CutoffTooSmall as exc:
+                tail = exc.tail_mass
+            assert abs(tail - 1e-9) >= 0.1e-9
 
     def test_search_failure_below_hard_cap(self):
         with pytest.raises(CutoffSearchFailed):

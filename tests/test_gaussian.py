@@ -119,6 +119,10 @@ class TestValidation:
             GaussianModeState(n_th=-0.1)
         with pytest.raises(ValueError):
             GaussianModeState(n_th=0.1, r=-0.2)
+        with pytest.raises(ValueError):
+            GaussianModeState(0.1, squeeze_phase=math.inf)
+        with pytest.raises(ValueError):
+            nonclassicality_threshold(-1.0)
 
     def test_passivity_flag(self):
         assert GaussianModeState(1.0).is_passive

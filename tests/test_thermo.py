@@ -138,6 +138,8 @@ class TestFictitiousTemperature:
     def test_negative_total_rejected(self):
         with pytest.raises(ValueError):
             fictitious_temperature(20, 0.1, -0.2)
+        with pytest.raises(ValueError):
+            fictitious_temperature(20, 0.1, math.nan)
 
     def test_engine_condition_equivalence(self):
         # occupation(w1, T1) <= n2 + dn  iff  w1/w2 >= T1/Theta
