@@ -8,8 +8,11 @@ given. Each tree's commands run in-process through `otto_forge.cli.main`,
 in one subprocess per tree (the two at once, each with one BLAS thread).
 For every command it compares the exit code, the SHA-256 of stdout and
 stderr, and prints the commands that differ; for a JSON object on stdout
-it also names the fields that differ. Exit status 0 when nothing differs,
-1 otherwise.
+it also names the fields that differ. For each `ergotropy --oracle` that
+exits 0 it also compares the SHA-256 of the search density's factor and
+spectrum bytes, which show round-off that the printed digits hide; a tree
+without `search_density` or `FockDensity.factor` records neither. Exit
+status 0 when nothing differs, 1 otherwise.
 
 The corpus:
 - 5 bases x 7 baths x 2 cycles, each as one `cycle` and as sweeps over
@@ -127,8 +130,18 @@ def run_corpus(src: str) -> None:
     from otto_forge import cli  # imported here: the tree is chosen at run time
 
     assert pathlib.Path(cli.__file__).resolve().is_relative_to(pathlib.Path(src).resolve())
+    searched = []  # the latest command's search density
+    if hasattr(cli, "search_density"):
+        search = cli.search_density
+
+        def recording_search(*args, **kwargs):
+            searched[:] = [search(*args, **kwargs)]
+            return searched[0]
+
+        cli.search_density = recording_search
     results = sys.stdout
     for argv in corpus():
+        searched.clear()
         raw, err = io.BytesIO(), io.StringIO()
         out = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
         # a fresh warnings registry per command, as in a process of its own
@@ -143,6 +156,10 @@ def run_corpus(src: str) -> None:
                   "stderr": err.getvalue()}
         if stdout.startswith(b"{") and len(stdout) < 65536:
             record["json"] = json.loads(stdout)
+        if code == 0 and searched and hasattr(searched[0], "factor"):
+            for key, array in (("factor", searched[0].factor),
+                               ("spectrum", searched[0].eigenvalues)):
+                record[key] = hashlib.sha256(array.tobytes()).hexdigest()
         results.write(json.dumps(record) + "\n")
 
 
@@ -177,6 +194,9 @@ def _differences(a: dict, b: dict) -> list[str]:
         lines.append(f"stdout {a['sha'][:12]} -> {b['sha'][:12]}{detail}")
     if a["stderr"] != b["stderr"]:
         lines.append(f"stderr {a['stderr']!r} -> {b['stderr']!r}")
+    for key in ("factor", "spectrum"):
+        if key in a and key in b and a[key] != b[key]:
+            lines.append(f"{key} bytes {a[key][:12]} -> {b[key][:12]}")
     return lines
 
 
@@ -197,16 +217,19 @@ def main(argv: list[str]) -> int:
             return 2
     commands = corpus()
     a_results, b_results = ([json.loads(line) for line in out.splitlines()] for out in outputs)
-    differ = 0
+    differ = densities = density_differ = 0
     for argv_, a, b in zip(commands, a_results, b_results):
         lines = _differences(a, b)
+        densities += "factor" in a and "factor" in b
+        density_differ += any(line.startswith(("factor", "spectrum")) for line in lines)
         if lines:
             differ += 1
             print("otto-forge " + " ".join(argv_))
             for line in lines:
                 print("    " + line)
     print(f"{names[0]} against {names[1]}: {len(commands)} commands, {differ} differ, "
-          f"{elapsed:.1f} s")
+          f"{elapsed:.1f} s; factor and spectrum digests of {densities} oracle densities, "
+          f"{density_differ} differ")
     return 1 if differ else 0
 
 

@@ -21,7 +21,9 @@ back into W. The populations, the trace deficit and the edge mass are read
 once from W's squared row norms, and the spectrum from its sorted squared
 column norms, padded with zeros: the Gram matrix W^dag W's diagonal,
 certified to its off-diagonal Frobenius norm by Weyl's inequality. No N x N
-matrix is formed unless `FockDensity.matrix` is read.
+matrix is formed unless `FockDensity.matrix` is read. dbdsdc and BLAS zherk
+(for W^dag W) are bound with ctypes from scipy's Cython tables, loaded from
+their files: the oracle never imports the scipy.linalg package.
 
 One numerical subtlety governs the guards: because the truncated dressing
 is unitary at any cutoff, the trace of the built state stays near one even
@@ -43,8 +45,11 @@ from __future__ import annotations
 
 import ctypes
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
+from importlib import machinery, util
 
 import numpy as np
 
@@ -123,10 +128,8 @@ class FockDensity:
         if w.shape[0] == w.shape[1] and np.count_nonzero(w) == np.count_nonzero(diag):
             ev = np.sort(np.abs(diag) ** 2)
         else:
-            from scipy.linalg.blas import zherk  # deferred: only the oracle needs scipy
-
             # Weyl: G = W^dag W has its eigenvalues within ||G - diag G||_F of its diagonal
-            gram = zherk(1.0, w.T)  # conj(G)'s upper triangle; w.T is Fortran-ordered, so uncopied
+            gram = _zherk(w)  # conj(G)'s upper triangle
             ev = np.sort(gram.diagonal().real)
             np.fill_diagonal(gram, 0.0)
             bound = math.sqrt(2.0) * np.linalg.norm(gram)
@@ -163,20 +166,47 @@ def _real_times_complex(real: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _dbdsdc():
-    """LAPACK's dbdsdc (bidiagonal SVD), bound from scipy's Cython LAPACK table."""
-    from scipy.linalg import cython_lapack  # deferred: only the oracle needs scipy
-
-    capsule, obj, api = cython_lapack.__pyx_capi__["dbdsdc"], ctypes.py_object, ctypes.pythonapi
+def _cython_routine(table: str, name: str, *argtypes) -> ctypes._CFuncPtr:
+    """BLAS or LAPACK `name`, bound from the __pyx_capi__ of scipy.linalg.`table`."""
+    module = sys.modules.get(f"scipy.linalg.{table}")
+    if module is None:  # load the Cython module from its file, not via the scipy.linalg package
+        spec = util.find_spec("scipy")  # finds the package, imports nothing
+        if spec is not None:
+            linalg = os.path.join(spec.submodule_search_locations[0], "linalg")
+            loader = machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES
+            spec = machinery.FileFinder(linalg, loader).find_spec(f"scipy.linalg.{table}")
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named 'scipy.linalg.{table}'", name="scipy")
+        module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.pop(spec.name, None)  # Cython listed it; importing scipy.linalg re-adds it
+    capsule, obj, api = module.__pyx_capi__[name], ctypes.py_object, ctypes.pythonapi
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))(capsule)
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, ctypes.c_char_p)
     address = pointer(("PyCapsule_GetPointer", api))(capsule, name)
-    i, v = ctypes.POINTER(ctypes.c_int), np.ctypeslib.ndpointer(float, 1, flags="C")
-    m, q = np.ctypeslib.ndpointer(float, 2, flags="F"), ctypes.c_void_p
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+@cache
+def _dbdsdc() -> ctypes._CFuncPtr:
+    """LAPACK's dbdsdc (bidiagonal SVD)."""
+    p, i, c = np.ctypeslib.ndpointer, ctypes.POINTER(ctypes.c_int), ctypes.c_char_p
+    v, m, q = p(float, 1, flags="C"), p(float, 2, flags="F"), ctypes.c_void_p
     # uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq (both unread for compq "I"), work, iwork, info
-    iwork = np.ctypeslib.ndpointer(np.intc, 1, flags="C")
-    args = ctypes.c_char_p, ctypes.c_char_p, i, v, v, m, i, m, i, q, q, v, iwork, i
-    return ctypes.CFUNCTYPE(None, *args)(address)
+    args = c, c, i, v, v, m, i, m, i, q, q, v, p(np.intc, 1, flags="C"), i
+    return _cython_routine("cython_lapack", "dbdsdc", *args)
+
+
+def _zherk(w: np.ndarray) -> np.ndarray:
+    """zherk(1.0, w.T) of scipy.linalg.blas: conj(W^dag W)'s upper triangle, the lower one 0."""
+    p, i, x = np.ctypeslib.ndpointer, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    # uplo, trans, n, k, alpha, a, lda, beta, c, ldc; a = W^T, the K x N Fortran array on W's bytes
+    zherk = _cython_routine("cython_blas", "zherk", ctypes.c_char_p, ctypes.c_char_p, i, i, x,
+                            p(complex, 2, flags="C"), i, x, p(complex, 2, flags="F"), i)
+    gram, (k, n) = np.zeros((w.shape[1],) * 2, complex, order="F"), map(ctypes.c_int, w.shape)
+    a = np.ascontiguousarray(w, dtype=complex)
+    zherk(b"U", b"N", n, k, ctypes.c_double(1.0), a, n, ctypes.c_double(0.0), gram, n)
+    return gram
 
 
 def _bidiagonal_svd(diag: np.ndarray, subdiag: np.ndarray) -> tuple[np.ndarray, ...]:

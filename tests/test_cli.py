@@ -512,8 +512,8 @@ def _dbdsdc_not_converged(*args):
     args[-1].value = 1  # info > 0: a singular value did not converge
 
 
-def _uncertified_gram(alpha, a):
-    gram = alpha * (a @ a.conj().T)
+def _uncertified_gram(w):
+    gram = w.T @ w.conj()  # conj(W^dag W), as fock._zherk returns it
     gram[0, 1] += 1e-6  # an off-diagonal entry above the spectrum's 1e-10 floor
     return gram
 
@@ -522,7 +522,7 @@ def _uncertified_gram(alpha, a):
     "target, fake",
     [
         ("otto_forge.fock._dbdsdc", lambda: _dbdsdc_not_converged),
-        ("scipy.linalg.blas.zherk", _uncertified_gram),
+        ("otto_forge.fock._zherk", _uncertified_gram),
     ],
 )
 def test_lapack_failure_in_the_oracle_is_physics_error(capsys, monkeypatch, target, fake):
@@ -660,6 +660,16 @@ class TestUsage:
             "state = GaussianModeState(n_th=0.2, r=0.5, alpha=1.0)\n"
             "assert abs(ergotropy_fock(state, 20.0, cutoff=128)"
             " - ergotropy_analytic(state, 20.0)) < 1e-8\n"
+            # the oracle loads scipy's two Cython tables from their files, not
+            # through the scipy.linalg package, which still imports as usual later
+            "argv = ['ergotropy', '--nth', '0.2', '--r', '0.5', '--alpha-re', '1',"
+            " '--omega', '3', '--oracle']\n"
+            "assert otto_forge.cli.main(argv) == 0\n"
+            "assert 'scipy.linalg' not in sys.modules, 'the oracle imported scipy.linalg'\n"
+            "import scipy.linalg\n"
+            "assert abs(scipy.linalg.expm([[0.0, 1.0], [-1.0, 0.0]])[0, 1] - 0.8414709848) < 1e-9\n"
+            "assert 'zherk' in scipy.linalg.cython_blas.__pyx_capi__\n"
+            "assert otto_forge.cli.main(argv) == 0\n"
         )
         src = pathlib.Path(otto_forge.__file__).parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -667,6 +677,8 @@ class TestUsage:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stderr
+        first, second = result.stdout.splitlines()  # one oracle record before and after
+        assert first == second and '"oracle_cutoff"' in first
 
 
 # CLI fuzz: argv drawn over every command but the oracle (fuzzed below), with

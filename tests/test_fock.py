@@ -8,6 +8,7 @@ compared on random states.
 
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -181,8 +182,29 @@ class TestConstruction:
         def no_gram(*args, **kwargs):
             raise AssertionError("a diagonal factor's spectrum formed the Gram matrix")
 
-        monkeypatch.setattr("scipy.linalg.blas.zherk", no_gram)
+        monkeypatch.setattr(fock, "_zherk", no_gram)
         assert np.max(np.abs(density.eigenvalues - reference)) <= 1e-15
+
+    @pytest.mark.parametrize("layout", ["complex", "real", "strided", "one column"])
+    def test_zherk_binding_matches_scipy_blas(self, layout):
+        # the table-bound zherk gives scipy.linalg.blas.zherk(1.0, w.T)'s bytes
+        from scipy.linalg.blas import zherk
+
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=(40, 12)) + 1j * rng.normal(size=(40, 12))
+        w = {"complex": w, "real": w.real.copy(), "strided": w[::2, 1::3],
+             "one column": w[:, :1].copy()}[layout]
+        gram = fock._zherk(w)
+        assert gram.flags.f_contiguous and gram.shape == (w.shape[1],) * 2
+        assert gram.tobytes() == zherk(1.0, w.T).tobytes()
+
+    def test_missing_scipy_is_module_not_found(self, monkeypatch):
+        # the Cython table is loaded from scipy's files; without scipy that
+        # fails as `import scipy` would
+        monkeypatch.delitem(sys.modules, "scipy.linalg.cython_blas", raising=False)
+        monkeypatch.setattr(fock.util, "find_spec", lambda name: None)
+        with pytest.raises(ModuleNotFoundError):
+            fock._cython_routine.__wrapped__("cython_blas", "zherk")
 
     @pytest.mark.parametrize(
         "state, cutoff", [*DRESSED_STATES, (GaussianModeState(1.0), 64)]
