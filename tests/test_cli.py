@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import ctypes
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import otto_forge
+from otto_forge import cli
 from otto_forge.cli import main
 from otto_forge.sweeps import TABLE_COLUMNS
 
@@ -431,6 +433,50 @@ def test_module_run_checks_required_flags():
     result = run_module("cycle")
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("error: missing required argument(s): --omega1")
+
+
+def bundled_blas(function: str) -> list:
+    """`function` ("get" or "set") of the thread count of each bundled OpenBLAS the console script sets."""
+    found = []
+    for package, prefix, setter in cli._BUNDLED_BLAS:
+        libs = pathlib.Path(__import__(package).__file__).parents[1] / f"{package}.libs"
+        for path in libs.glob(prefix + "*") if libs.is_dir() else ():
+            found.append(getattr(ctypes.CDLL(str(path)), setter.replace("_set_", f"_{function}_")))
+    return found
+
+
+class TestBlasThreads:
+    def test_console_script_sets_one_thread(self, monkeypatch):
+        before = [get() for get in bundled_blas("get")]
+        if not before:
+            pytest.skip("no bundled OpenBLAS in this installation")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        try:
+            for set_threads in bundled_blas("set"):
+                set_threads(2)
+            cli._one_blas_thread()
+            assert [get() for get in bundled_blas("get")] == [1] * len(before)
+        finally:
+            for set_threads, count in zip(bundled_blas("set"), before):
+                set_threads(count)
+
+    def test_an_explicit_thread_count_is_left_alone(self, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"loaded {path}")
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setattr(cli.ctypes, "CDLL", refuse)
+        cli._one_blas_thread()
+
+    @pytest.mark.parametrize("spec", [None, "json"])
+    def test_missing_libraries_are_skipped(self, monkeypatch, spec):
+        # no package, or a package without a bundled-library directory
+        from importlib import util
+
+        found = None if spec is None else util.find_spec(spec)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setattr(cli.util, "find_spec", lambda name: found)
+        cli._one_blas_thread()
 
 
 # |alpha| of this bath is beyond the double range: the sweep fails before its first row

@@ -6,16 +6,24 @@ squeezed-vacuum occupation, spectrum invariance) and then the two routes are
 compared on random states.
 """
 
+import cmath
+import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
+import textwrap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import otto_forge.fock as fock
+import otto_forge
 from otto_forge import (
     CutoffSearchFailed,
     CutoffTooSmall,
@@ -71,6 +79,43 @@ DRESSED_STATES = [
     (GaussianModeState(0.2, r=0.5, squeeze_phase=0.7), 48),
     (GaussianModeState(0.4, r=0.2, alpha=-0.3 - 0.9j, squeeze_phase=2.1), 33),
 ]
+
+# (state, tolerance, cutoff): perfbench's nine oracle states, then
+# TestChooseCutoff.test_result_is_minimal's six, each cutoff pinned from the
+# rate-step search that came before crossings were predicted
+FROZEN_CUTOFFS = [
+    *((GaussianModeState(n_th, r=r, alpha=alpha), 1e-12, cutoff) for n_th, r, alpha, cutoff in (
+        (0.2, 0.5, 1.0, 52), (0.1, 0.7, 1.2, 66), (0.4, 0.6, 1.0, 79), (0.6, 0.7, 1.0, 120),
+        (0.3, 1.0, 1.5, 161), (0.5, 1.1, cmath.rect(1.0, 0.25 * math.pi), 261),
+        (0.5, 1.3, 1.0, 363), (1.2, 1.0, cmath.rect(1.5, 0.75 * math.pi), 373),
+        (2.0, 1.2, 2.0, 747),
+    )),
+    (GaussianModeState(0.8, r=0.3), 1e-10, 53),
+    (GaussianModeState(0.2, r=0.5, alpha=1.0), 1e-10, 44),
+    (GaussianModeState(0.4, r=0.6, alpha=-1.0), 1e-10, 66),
+    (GaussianModeState(0.5, alpha=1.0 + 1.0j), 1e-10, 39),
+    (GaussianModeState(1.2, r=1.0, alpha=1.5 * np.exp(0.25j * np.pi)), 1e-10, 309),
+    (GaussianModeState(3.0), 1e-10, 85),
+]
+
+
+def random_search_states() -> list[tuple[GaussianModeState, float]]:
+    """90 seeded states, each part (thermal, squeeze, displacement, phase) present or not."""
+    rng = np.random.default_rng(2026)
+    states = []
+    for _ in range(90):
+        n_th = rng.choice([0.0, rng.uniform(0.0, 3.0)])
+        r = rng.choice([0.0, rng.uniform(0.0, 1.3)])
+        alpha = rng.choice([0j, cmath.rect(rng.uniform(0.0, 2.5), rng.uniform(-np.pi, np.pi))])
+        phase = rng.choice([0.0, rng.uniform(0.0, 2.0 * np.pi)])
+        tol = rng.choice([1e-9, 1e-10, 1e-12])
+        states.append((GaussianModeState(n_th, r=r, alpha=alpha, squeeze_phase=phase), tol))
+    return states
+
+
+# sha256 of repr() of the list of their cutoffs, pinned from the same
+# rate-step search
+RANDOM_CUTOFFS_SHA256 = "2e1a80e6f7e86699ded75b56297329de3223e1638adea4338e0931a7ecfd8f78"
 
 
 class TestConstruction:
@@ -204,7 +249,32 @@ class TestConstruction:
         monkeypatch.delitem(sys.modules, "scipy.linalg.cython_blas", raising=False)
         monkeypatch.setattr(fock.util, "find_spec", lambda name: None)
         with pytest.raises(ModuleNotFoundError):
-            fock._cython_routine.__wrapped__("cython_blas", "zherk")
+            fock._cython_capi.__wrapped__("cython_blas")
+
+    def test_first_builds_in_two_threads(self):
+        # two threads that start a fresh interpreter's first builds at once
+        # both load the Cython tables, and build the same factor
+        code = textwrap.dedent("""
+            import threading
+            from otto_forge import GaussianModeState, build_fock_density
+            state = GaussianModeState(0.3, r=0.4, alpha=1.1)
+            barrier, factors = threading.Barrier(2), [None, None]
+            def build(i):
+                barrier.wait()
+                factors[i] = build_fock_density(state, 64, 0.5).factor.tobytes()
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert factors[0] is not None and factors[0] == factors[1]
+        """)
+        src = pathlib.Path(otto_forge.__file__).parents[1]
+        result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert not result.stderr
 
     @pytest.mark.parametrize(
         "state, cutoff", [*DRESSED_STATES, (GaussianModeState(1.0), 64)]
@@ -431,7 +501,32 @@ class TestChooseCutoff:
 
         monkeypatch.setattr(fock, "build_fock_density", counted)
         assert choose_cutoff(GaussianModeState(2.0, r=1.2, alpha=2.0), 1e-12) == 747
-        assert len(calls) <= 6
+        assert len(calls) <= 3
+
+    def test_cutoffs_match_the_frozen_table(self):
+        for state, tol, cutoff in FROZEN_CUTOFFS:
+            assert choose_cutoff(state, tol) == cutoff, state
+
+    def test_random_corpus_cutoffs_match_their_frozen_hash(self):
+        cutoffs = [choose_cutoff(state, tol) for state, tol in random_search_states()]
+        assert hashlib.sha256(repr(cutoffs).encode()).hexdigest() == RANDOM_CUTOFFS_SHA256
+
+    def test_search_holds_one_density_at_a_time(self, monkeypatch):
+        # only the lowest passing density is kept: a new build starts with at
+        # most one density that an earlier build returned still alive
+        returned = []
+        build = fock.build_fock_density
+
+        def tracked(*args, **kwargs):
+            assert sum(ref() is not None for ref in returned) <= 1
+            density = build(*args, **kwargs)
+            returned.append(weakref.ref(density))
+            return density
+
+        monkeypatch.setattr(fock, "build_fock_density", tracked)
+        for state, tol, cutoff in FROZEN_CUTOFFS:
+            returned.clear()
+            assert search_density(state, tol).dim == cutoff
 
     @pytest.mark.parametrize(
         "state",
@@ -476,7 +571,7 @@ class TestChooseCutoff:
 
     def test_failing_probe_below_a_window_step(self, monkeypatch):
         # 97 fails and 98 passes; the window widens between 95 and 96, so the
-        # search probes 95 too, and its failure settles the result at 98
+        # search must probe 95 too, and its failure settles the result at 98
         probes = []
         build = fock.build_fock_density
 
@@ -487,8 +582,11 @@ class TestChooseCutoff:
         monkeypatch.setattr(fock, "build_fock_density", recorded)
         state = GaussianModeState(1.5, r=0.42, alpha=2.18)
         assert search_density(state, 1e-9).dim == 98
-        assert probes == [195, 98, 97, 95]
+        assert {97, 95} <= set(probes)
         assert fock._edge_window(96) > fock._edge_window(95)
+        for cutoff in (97, 95):
+            with pytest.raises(CutoffTooSmall):
+                build(state, cutoff, 1e-9)
         for cutoff in probes:  # no probe sits within round-off of the tolerance
             try:
                 tail = build(state, cutoff, 1e-9).tail_bound
