@@ -39,9 +39,15 @@ exp(-2N/V) with V = (2 n_th + 1) e^{2r} + 2|alpha|^2, so it starts at
 puts too high. Each passing build predicts the crossing from its own
 populations, and the search probes the failing side of that prediction
 first; it steps on the log of the tail bound, with the decay rate measured
-between its probes, only where it has no pass or the prediction misses. It
-keeps only the lowest passing density and returns it, so a caller builds
-each probed cutoff once.
+between its probes, only where it has no pass or the prediction misses.
+Its state is one bracket: the failed cutoffs, and the lowest passing cutoff
+with its density, which every later probe lies below. It keeps that
+density alone and returns it, so a caller builds each probed cutoff once.
+
+A dressing needs levels for its generator to act on: the squeeze generator
+is empty below 3 levels and the displacement one below 2. A build there
+would be the undressed state with nothing in its tail, so the guard
+refuses it outright, as if all of the mass were unresolved.
 """
 
 from __future__ import annotations
@@ -333,13 +339,21 @@ def build_fock_density(
     (computed numerically, not from closed-form matrix elements), applied to
     the populated columns of the truncated geometric thermal diagonal, so
     rho = W W^dag, held as W. Raises CutoffTooSmall when the density's
-    tail_bound, the larger of its trace deficit and edge mass, exceeds tail_tol.
+    tail_bound, the larger of its trace deficit and edge mass, exceeds
+    tail_tol, and, with tail mass 1, when the cutoff leaves the squeeze
+    generator (below 3 levels) or the displacement one (below 2) empty.
     """
     cutoff = int(cutoff)
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol!r}")
+    # the build would be the undressed state, whose tail shows nothing, so
+    # all of the mass counts as unresolved
+    if (state.r > 0.0 and cutoff < 3) or (state.alpha != 0j and cutoff < 2):
+        raise CutoffTooSmall(
+            f"cutoff {cutoff} leaves the state's dressing generator empty", tail_mass=1.0
+        )
 
     p = thermal_probabilities(state.n_th, cutoff)
     density = FockDensity(_dressed_thermal_columns(state, p))
@@ -408,6 +422,13 @@ def search_density(
     shifts the tail more than it widens it; there the start counts 0.35 of
     the 2|alpha|^2 term and is scaled by 0.95.
 
+    The search keeps a bracket: the cutoffs that failed, and the lowest
+    passing cutoff with its density, the only density kept. Every probe
+    after the first pass lies below that cutoff, so the latest pass is the
+    lowest one and a build never runs beside more than one earlier factor.
+    The search stops once the largest failed cutoff below it is cutoff - 1,
+    and raises CutoffSearchFailed when hard_cap itself fails.
+
     A passing build predicts the crossing e: the smallest cutoff whose edge
     window would hold at most tail_tol of that build's populations, the mass
     beyond the cutoff counted as if reflected into the window. From a build
@@ -418,15 +439,13 @@ def search_density(
     e - 1 is a level where the edge window widens, as a failure there would
     need the level below the step probed anyway. Where no build has passed
     yet, or the prediction misses, the search steps to the crossing
-    predicted by the decay rate measured between its last two probes, minus
-    one level, again the side expected to fail; a step at most halves or
-    doubles the cutoff and stays between the highest failing and the lowest
-    passing cutoff. A squeezed vacuum fills even levels only, so its
+    predicted by the decay rate measured between its last two probes with
+    a positive tail bound, minus one level, again the side expected to
+    fail; a step at most halves or doubles the cutoff and stays inside the
+    bracket. Before any such probe there is no rate to extrapolate, and the
+    step halves the cutoff. A squeezed vacuum fills even levels only, so its
     populations cannot tell a cutoff from the next one: its search takes
-    the rate steps alone, each to the predicted crossing itself. Only the
-    lowest passing density is kept, so a build never runs beside more than
-    one earlier factor. The search stops once cutoff - 1 fails and cutoff
-    passes, and raises CutoffSearchFailed when hard_cap itself fails.
+    the rate steps alone, each to the predicted crossing itself.
 
     The edge window widens by one level at every multiple of 16 from 80 on,
     which can lift the tail bound above the tolerance for a level or so;
@@ -437,75 +456,61 @@ def search_density(
     if not 0.0 < tail_tol < 1.0:
         raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol!r}")
     log_tol = math.log(tail_tol)
-
-    def probe(cutoff: int) -> tuple[FockDensity | None, float]:
-        """The cutoff's density, None if it fails, and the log of its tail bound.
-
-        A passing cutoff reports its edge occupation: its trace deficit sits
-        at round-off and says nothing about how far the crossing is.
-        """
-        try:
-            density = build_fock_density(state, cutoff, tail_tol)
-        except CutoffTooSmall as exc:
-            return None, math.log(exc.tail_mass)
-        tail = density.edge_mass
-        return density, math.log(tail) if tail > 0.0 else -math.inf
-
     spread = (2.0 * state.n_th + 1.0) * math.exp(2.0 * state.r)
     shift = 2.0 * abs(state.alpha) ** 2
     rate = 2.0 / (spread + shift)
     start = spread if shift == 0.0 else _DISPLACED_START * (spread + _DISPLACEMENT_SHARE * shift)
     cutoff = min(hard_cap, max(1, math.ceil(-0.5 * start * log_tol)))
     predicts = not (state.n_th == 0.0 and shift == 0.0 and state.r > 0.0)
-    passes: dict[int, bool] = {}
-    last = None  # the latest probe with a finite log tail bound
+    # the bracket: hi is the lowest passing cutoff, and the latest, as every
+    # probe after the first pass lies below it; lo, the largest failed
+    # cutoff below hi, is read from the failed set after each build
+    failed: set[int] = set()
+    hi, lowest = hard_cap + 1, None
+    predicted = 0  # the crossing predicted by the lowest pass; 0 predicts nothing
+    last = (0, -math.inf)  # the latest probe with a positive tail bound, and its log
     while True:
-        density, log_tail = probe(cutoff)
-        passed = passes[cutoff] = density is not None
-        if passed:
-            # every probe after the first pass lies below the lowest passing
-            # cutoff, so the latest pass is the lowest one, and the only one kept
-            lowest = density
+        try:
+            lowest = build_fock_density(state, cutoff, tail_tol)
+        except CutoffTooSmall as exc:
+            if cutoff >= hard_cap:
+                raise CutoffSearchFailed(
+                    f"no cutoff up to {hard_cap} reaches tail tolerance {tail_tol:.3e} "
+                    f"for state {state}"
+                ) from exc
+            failed.add(cutoff)
+            tail = exc.tail_mass
+        else:
+            hi = cutoff
+            # a pass reports its edge occupation: its trace deficit sits at
+            # round-off and says nothing about how far the crossing is
+            tail = lowest.edge_mass
             if predicts:
-                predicted = _predicted_cutoff(density.populations(), tail_tol)
-        if not passed and cutoff >= hard_cap:
-            raise CutoffSearchFailed(
-                f"no cutoff up to {hard_cap} reaches tail tolerance {tail_tol:.3e} "
-                f"for state {state}"
-            )
-        if math.isfinite(log_tail):
-            # probes a level or two apart differ by window effects as much as by decay
-            if last is not None and abs(cutoff - last[0]) >= 3:
-                measured = (last[1] - log_tail) / (cutoff - last[0])
-                if measured > 0.0:
-                    rate = measured
-            last = (cutoff, log_tail)
-        hi = min((c for c, ok in passes.items() if ok), default=None)
-        lo = max((c for c, ok in passes.items() if not ok and (hi is None or c < hi)), default=0)
-        if hi is not None and hi - lo == 1:
+                predicted = _predicted_cutoff(lowest.populations(), tail_tol)
+        if tail > 0.0:
+            previous, last = last, (cutoff, math.log(tail))
+            measured = (previous[1] - last[1]) / (cutoff - previous[0])
+            if measured > 0.0:
+                rate = measured
+        lo = max((c for c in failed if c < hi), default=0)
+        # the failing side of the prediction first; a window step there
+        # would need the level below it probed anyway, so that goes first
+        below = predicted - 1
+        if below - 1 > lo and _edge_window(below) > _edge_window(below - 1):
+            below -= 1
+        if hi - lo == 1:
             below_step = [j - 1 for j in (hi - 1, hi - 2) if _edge_window(j) > _edge_window(j - 1)]
-            if not below_step or below_step[0] in passes:
+            if not below_step or below_step[0] in failed:
                 return lowest
             cutoff = below_step[0]
-            continue
-        if hi is not None and predicts:
-            # the failing side of the prediction first; a window step there
-            # would need the level below it probed anyway, so that goes first
-            below = predicted - 1
-            if below - 1 > lo and _edge_window(below) > _edge_window(below - 1):
-                below -= 1
-            if below > lo:
-                cutoff = below
-                continue
-            if lo < predicted < hi:
-                cutoff = predicted
-                continue
-        upper = hard_cap if hi is None else hi - 1
-        if last is not None:
-            target = math.ceil(last[0] + (last[1] - log_tol) / rate)
+        elif below > lo:
+            cutoff = below
+        elif lo < predicted < hi:
+            cutoff = predicted
         else:
-            target = (lo + upper + 1) // 2
-        target = min(max(target, (cutoff + 1) // 2), 2 * cutoff)
-        if predicts:
-            target -= 1  # the failing side of the target first
-        cutoff = min(max(target, lo + 1), upper)
+            # before any positive tail bound the target is -inf, and the clamp halves the cutoff
+            target = last[0] + (last[1] - log_tol) / rate
+            target = math.ceil(min(max(target, (cutoff + 1) // 2), 2 * cutoff))
+            if predicts:
+                target -= 1  # the failing side of the target first
+            cutoff = min(max(target, lo + 1), hi - 1)

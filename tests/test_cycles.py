@@ -121,6 +121,21 @@ class TestFirstKindBaths:
         assert vars(DisplacedThermalBath(1j)) == {"alpha": 1j}
 
 
+@pytest.mark.parametrize("omega1, omega2, t1, t2, message", [
+    (0.0, 2.0, 1.0, 2.0, "omega1 must be positive, got 0.0"),
+    (1.0, math.nan, 1.0, 2.0, "omega2 must be positive, got nan"),
+    (1.0, -2.0, 1.0, 2.0, "omega2 must be positive, got -2.0"),
+    (3.0, 2.0, 1.0, 2.0, "omega1 must not exceed omega2 (compression stroke)"),
+    (1.0, 2.0, -1.0, 2.0, "t1 must be non-negative, got -1.0"),
+    (1.0, 2.0, 1.0, math.inf, "t2 must be non-negative, got inf"),
+    (1.0, 2.0, 3.0, 2.0, "t1 must not exceed t2 (cold bath is the colder one)"),
+])
+def test_cycle_config_rejects_invalid_parameters(omega1, omega2, t1, t2, message):
+    with pytest.raises(ValueError) as info:
+        CycleConfig(omega1, omega2, t1, t2, ThermalBath())
+    assert str(info.value) == message
+
+
 class TestStandardCycle:
     def test_thermal_reference_ledger(self):
         ledger = standard_cycle(fig5_config(ThermalBath()))
@@ -370,6 +385,8 @@ class TestAuditLaws:
         assert law.clausius_sum is None
         assert "zero temperature" in law.clausius_skipped
         assert law.first_law_residual < 1e-9
+        # nor is there an entropy bound Q2/T_hot to check against
+        assert law.entropy_bound is None and law.entropy_ok
 
     def test_entropy_inequality(self):
         config = fig5_config(SqueezedThermalBath(0.5))
@@ -716,6 +733,12 @@ class TestColumnForms:
         assert len(counted_occupation) == len(fallback)
         assert np.flatnonzero(columns.failed).tolist() == fallback
         assert all(isinstance(columns.errors[i], ZeroDivisionError) for i in fallback)
+
+    @pytest.mark.parametrize("kind", list(CycleKind))
+    def test_no_rows(self, kind):
+        columns = ledger_columns(kind, [], [], [], [], [])
+        assert columns.w1.shape == (0,) and not columns.failed.any()
+        assert all(column.shape == (0,) for column in columns.laws)
 
     def test_one_row_makes_one_scalar_call_per_column(self, counted_occupation):
         ledger_columns(CycleKind.STANDARD, 7.0, 20.0, 2.0, 10.0, 0.3)

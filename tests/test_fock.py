@@ -117,6 +117,11 @@ def random_search_states() -> list[tuple[GaussianModeState, float]]:
 # rate-step search
 RANDOM_CUTOFFS_SHA256 = "2e1a80e6f7e86699ded75b56297329de3223e1638adea4338e0931a7ecfd8f78"
 
+# the most builds a search may take: each FROZEN_CUTOFFS state, and all of
+# random_search_states() together, as the predicted search takes them
+FROZEN_BUILD_BUDGETS = [3, 3, 4, 4, 5, 3, 2, 3, 3, 3, 3, 4, 2, 3, 3]
+RANDOM_BUILD_BUDGET = 258
+
 
 class TestConstruction:
     def test_vacuum_is_exact(self):
@@ -300,6 +305,18 @@ class TestConstruction:
             build_fock_density(GaussianModeState(0.0, r=1.0), cutoff=8, tail_tol=1e-9)
         assert 1e-9 < info.value.tail_mass < 1.0
 
+    @pytest.mark.parametrize("state, cutoff", [
+        (GaussianModeState(0.0, r=1.0), 2),
+        (GaussianModeState(0.0, alpha=3.0), 1),
+        (GaussianModeState(1e-300, alpha=3.0), 1),
+    ])
+    def test_empty_generator_is_too_small(self, state, cutoff):
+        # the build would be the undressed state, tail 0: ergotropy 0 where
+        # the analytic value is 1.381 (the squeeze) or 9.0 (the displacement)
+        with pytest.raises(CutoffTooSmall) as info:
+            ergotropy_fock(state, 1.0, cutoff)
+        assert info.value.tail_mass == 1.0
+
     def test_cutoff_too_small_raises(self):
         with pytest.raises(CutoffTooSmall):
             build_fock_density(GaussianModeState(0.0, r=1.0), cutoff=8)
@@ -461,8 +478,15 @@ class TestPhaseInvariance:
 
 
 class TestChooseCutoff:
-    def test_vacuum_needs_one_level(self):
-        assert choose_cutoff(GaussianModeState(0.0), 1e-12) == 1
+    @pytest.mark.parametrize("state, cutoff", [
+        (GaussianModeState(0.0), 1),
+        (GaussianModeState(0.0, r=1e-8), 3),
+        (GaussianModeState(0.0, alpha=1e-8), 2),
+    ])
+    def test_a_dressing_needs_its_generator(self, state, cutoff):
+        # the vacuum needs one level, a squeeze three and a displacement two,
+        # however weak: below that the dressing's generator is empty
+        assert choose_cutoff(state, 1e-12) == cutoff
 
     def test_squeezed_thermal_cutoff_verified_by_trace(self):
         state = GaussianModeState(N2_REF, r=0.5)
@@ -492,6 +516,7 @@ class TestChooseCutoff:
                 build_fock_density(state, cutoff - 1, tail_tol=1e-10)
 
     def test_search_lands_on_the_known_cutoff_in_few_builds(self, monkeypatch):
+        # each frozen state within its own budget, the random corpus within one in all
         calls = []
         build = fock.build_fock_density
 
@@ -500,8 +525,14 @@ class TestChooseCutoff:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(fock, "build_fock_density", counted)
-        assert choose_cutoff(GaussianModeState(2.0, r=1.2, alpha=2.0), 1e-12) == 747
-        assert len(calls) <= 3
+        for (state, tol, cutoff), budget in zip(FROZEN_CUTOFFS, FROZEN_BUILD_BUDGETS, strict=True):
+            calls.clear()
+            assert choose_cutoff(state, tol) == cutoff, state
+            assert len(calls) <= budget, state
+        calls.clear()
+        for state, tol in random_search_states():
+            choose_cutoff(state, tol)
+        assert len(calls) <= RANDOM_BUILD_BUDGET
 
     def test_cutoffs_match_the_frozen_table(self):
         for state, tol, cutoff in FROZEN_CUTOFFS:
