@@ -68,7 +68,6 @@ from .thermo import (
     _EXP_OVERFLOW,
     invert_occupation,
     occupation,
-    thermal_entropy,
 )
 
 # Relative tolerance for boundary ties (engine side wins at zero net work).
@@ -270,13 +269,6 @@ class StrokeLedger:
     def net_work(self) -> float:
         """Piston work over the whole cycle (negative when work is extracted)."""
         return self.w1 + self.w3
-
-
-def _occupations(config: CycleConfig) -> tuple[float, float]:
-    return (
-        occupation(config.omega1, config.t1),
-        occupation(config.omega2, config.t2),
-    )
 
 
 def standard_cycle(config: CycleConfig) -> StrokeLedger:
@@ -533,10 +525,7 @@ class LedgerColumns:
 
     def law(self, i: int) -> LawReport:
         """The law audit of row i's ledger (the row must not have failed)."""
-        return _law_report(
-            self.kind, self.laws, i,
-            *(getattr(self, name)[i].item() for name in ("law_residual", "q2", "n1", "n2", "dn")),
-        )
+        return _law_report(self.laws, i, self.law_residual[i].item())
 
     @functools.cached_property
     def laws(self) -> LawColumns:
@@ -752,14 +741,15 @@ def classify_regime(config: CycleConfig, ledger: StrokeLedger) -> RegimeTag:
     if ledger.kind is CycleKind.SECOND_KIND:
         code = _classify_second_kind(ledger.net_work, tol)
     elif ledger.kind is CycleKind.MODIFIED:
-        code = _classify_modified(ledger.net_work, *_occupations(config), tol)
+        n1, n2 = occupation(config.omega1, config.t1), occupation(config.omega2, config.t2)
+        code = _classify_modified(ledger.net_work, n1, n2, tol)
     else:
         code = _classify_first_kind(ledger.net_work, ledger.q2, ledger.e4, tol)
     return _REGIMES[code]
 
 
-# The absolute slack of every law inequality: the Clausius sum, the engine
-# and COP bounds and the entropy check.
+# The absolute slack of every law inequality: the Clausius sum and the engine
+# and COP bounds.
 INEQUALITY_TOL = 1e-12
 
 
@@ -804,55 +794,39 @@ class LawReport:
 
     The first-law residual is |sum of all stroke energies| relative to the
     largest stroke energy. The hot temperature and the Clausius sum, skipped
-    with a reason at zero temperature, are those of `law_columns`. The entropy
-    check compares the working fluid's passive entropy change over stroke 2
-    against Q2/T_hot.
+    with a reason at zero temperature, are those of a `law_columns` row.
     """
 
     first_law_residual: float
     clausius_sum: float | None
     clausius_skipped: str | None
-    entropy_change: float | None
-    entropy_bound: float | None
     hot_temperature: float | None
-
-    @property
-    def entropy_ok(self) -> bool:
-        if self.entropy_change is None or self.entropy_bound is None:
-            return True
-        return self.entropy_change >= self.entropy_bound - INEQUALITY_TOL
 
 
 def audit_laws(ledger: StrokeLedger, config: CycleConfig) -> LawReport:
     """Check energy conservation and the equilibrium second law on a ledger.
 
-    A size-1 `law_columns` call on the energies of `ledger`, at the occupations
-    and the bath excess of `config`; at zero temperature the Clausius check is
-    skipped while the first law is still verified.
+    A size-1 `law_columns` call on the energies of `ledger`, at the hot
+    occupation and the bath excess of `config`; at zero temperature the
+    Clausius check is skipped while the first law is still verified.
     """
-    n1, n2 = _occupations(config)
+    n2 = occupation(config.omega2, config.t2)
     dn = config.bath.excess_for(config.omega2, config.t2)
     residual = _first_law_residual(*ledger.energies[:6], ledger.energy_scale).item()
     # an undefined eta or cop (None) becomes NaN
     row = (np.array([x], dtype=float) for x in (
         config.omega2, config.t1, config.t2, n2, dn, ledger.q2, ledger.q4, ledger.eta, ledger.cop))
     laws = law_columns(ledger.kind, *row, np.full(1, None, dtype=object))
-    return _law_report(ledger.kind, laws, 0, residual, ledger.q2, n1, n2, dn)
+    return _law_report(laws, 0, residual)
 
 
-def _law_report(
-    kind: CycleKind, laws: LawColumns, i: int,
-    residual: float, q2: float, n1: float, n2: float, dn: float,
-) -> LawReport:
-    """Row i of `laws` as a LawReport, with the entropy check of that row."""
-    hot, clausius = laws.hot[i].item(), laws.clausius[i].item()
-    passive_c = n2 + dn if kind is CycleKind.SECOND_KIND else n2
+def _law_report(laws: LawColumns, i: int, residual: float) -> LawReport:
+    """Row i of `laws` as a LawReport with first-law residual `residual`."""
+    clausius = laws.clausius[i].item()
     skipped = math.isnan(clausius)
     return LawReport(
         first_law_residual=residual,
         clausius_sum=None if skipped else clausius,
         clausius_skipped="skipped: zero temperature" if skipped else None,
-        entropy_change=thermal_entropy(passive_c) - thermal_entropy(n1),
-        entropy_bound=q2 / hot if hot > 0.0 else None,
-        hot_temperature=hot,
+        hot_temperature=laws.hot[i].item(),
     )

@@ -65,6 +65,7 @@ import numpy as np
 
 from .errors import CutoffSearchFailed, CutoffTooSmall, DensityNotPositive, LapackFailure
 from .gaussian import GaussianModeState
+from .thermo import _check_frequency
 
 DEFAULT_TAIL_TOL = 1e-9
 HARD_CUTOFF_CAP = 4096
@@ -160,7 +161,7 @@ class FockDensity:
 
     def mean_energy(self, omega: float) -> float:
         """Tr(rho H) for H = omega (a^dag a + 1/2) truncated to this basis."""
-        return _ladder_energy(self.populations(), omega)
+        return _ladder_energy(self.populations(), _check_frequency(omega))
 
 
 def _ladder_energy(weights: np.ndarray, omega: float) -> float:

@@ -1,8 +1,10 @@
 """CLI contract: flags, exit codes, machine-parseable stdout, config files."""
 
+import ast
 import contextlib
 import csv
 import ctypes
+import importlib
 import io
 import json
 import math
@@ -920,3 +922,17 @@ def test_cli_contract_holds_for_any_config(config):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         check_contract(command, json_format, *run_isolated([command, "--config", path]))
+
+
+def test_every_traced_name_exists():
+    # perfbench's tracer wraps these by name, and `--trace 1` raises on one
+    # that is missing; LAYERS is read from its source, not imported
+    source = (pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text()
+    layers = next(
+        ast.literal_eval(node.value) for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
+    )
+    for layer, names in layers.items():
+        module = importlib.import_module(f"otto_forge.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"otto_forge.{layer}.{name}"

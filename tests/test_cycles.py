@@ -38,6 +38,7 @@ from otto_forge import (
     occupation,
     second_kind_cycle,
     standard_cycle,
+    thermal_entropy,
 )
 from otto_forge import cycles
 from otto_forge.cycles import (
@@ -385,14 +386,16 @@ class TestAuditLaws:
         assert law.clausius_sum is None
         assert "zero temperature" in law.clausius_skipped
         assert law.first_law_residual < 1e-9
-        # nor is there an entropy bound Q2/T_hot to check against
-        assert law.entropy_bound is None and law.entropy_ok
 
-    def test_entropy_inequality(self):
-        config = fig5_config(SqueezedThermalBath(0.5))
-        law = audit_laws(standard_cycle(config), config)
-        assert law.entropy_change >= law.entropy_bound - 1e-12
-        assert law.entropy_ok
+
+def assert_entropy_inequality(n1, n_hot, q2, hot):
+    """The fluid's stroke-2 entropy gain S(n_hot) - S(n1) >= Q2/T_hot, where T_hot > 0.
+
+    S is concave with S'(n_hot) = omega2/T_hot, so this is its tangent-line
+    inequality, and it holds on every ledger the kernel produces.
+    """
+    if hot > 0.0:
+        assert thermal_entropy(n_hot) - thermal_entropy(n1) >= q2 / hot - 1e-12
 
 
 class TestRandomizedInvariants:
@@ -423,6 +426,8 @@ class TestRandomizedInvariants:
             assert law.first_law_residual < 1e-9
             if law.clausius_sum is not None:
                 assert law.clausius_sum <= 1e-12
+            n1, n2 = occupation(config.omega1, config.t1), occupation(config.omega2, config.t2)
+            assert_entropy_inequality(n1, n2, ledger.q2, law.hot_temperature)
 
     def test_engine_efficiency_identity(self):
         rng = np.random.default_rng(202)
@@ -511,6 +516,8 @@ class TestRandomizedInvariants:
             assert law.first_law_residual < 1e-9
             if law.clausius_sum is not None:
                 assert law.clausius_sum <= 1e-12
+            n1 = occupation(omega1, t1)
+            assert_entropy_inequality(n1, n2 + excess, ledger.q2, law.hot_temperature)
             if ledger.eta is not None and law.hot_temperature > 0.0:
                 engines += 1
                 assert ledger.eta <= 1 - t1 / law.hot_temperature + 1e-12

@@ -8,6 +8,7 @@ compared on random states.
 
 import cmath
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from scipy.linalg import expm
 
 import otto_forge.fock as fock
 import otto_forge
+from otto_forge import gaussian, thermo
 from otto_forge import (
     CutoffSearchFailed,
     CutoffTooSmall,
@@ -437,6 +439,15 @@ class TestErgotropyOracle:
         assert abs(ergotropy_of_density(density, 1.0) - analytic) / analytic < 1e-5
         assert abs(entropy_fock(density) - thermal_entropy(3.0)) < 1e-6
 
+    @pytest.mark.parametrize("omega", [-1.0, 0.0, math.nan, math.inf])
+    def test_invalid_frequency_is_refused(self, omega):
+        state = GaussianModeState(0.2, r=0.5, alpha=1.0)
+        message = "frequency must be a positive finite number"
+        with pytest.raises(ValueError, match=message):
+            ergotropy_analytic(state, omega)
+        with pytest.raises(ValueError, match=message):
+            ergotropy_fock(state, omega, 64)
+
     def test_under_resolved_state_is_refused_not_wrong(self):
         # at 192 levels this state's spectral ergotropy would be off by
         # percent-scale; the edge guard must catch it instead
@@ -462,6 +473,39 @@ class TestEntropy:
         ):
             density = build_fock_density(state, cutoff=128)
             assert abs(entropy_fock(density) - thermal) < 1e-6
+
+
+class TestIndependence:
+    """The oracle reaches none of the closed forms it is checked against."""
+
+    CLOSED_FORMS = [
+        (gaussian, name) for name, fn in vars(gaussian).items()
+        if inspect.isfunction(fn) and fn.__module__ == gaussian.__name__
+    ] + [
+        (thermo, name) for name in (
+            "occupation", "invert_occupation", "oscillator_energy", "thermal_entropy",
+            "fictitious_temperature",
+        )
+    ]
+
+    @pytest.mark.parametrize("state", [
+        GaussianModeState(0.4, r=0.6, alpha=1.1 + 0.3j), GaussianModeState(1.5),
+    ])
+    def test_oracle_runs_with_every_closed_form_refused(self, state, monkeypatch):
+        def oracle():
+            density = search_density(state, 1e-9)
+            values = ergotropy_of_density(density, 3.0), entropy_fock(density)
+            return density.dim, density.eigenvalues.tobytes(), *map(float.hex, values)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the oracle called a closed form")
+
+        expected = oracle()
+        for module, name in self.CLOSED_FORMS:
+            monkeypatch.setattr(module, name, refused)
+            if hasattr(fock, name):
+                monkeypatch.setattr(fock, name, refused)
+        assert oracle() == expected
 
 
 class TestPhaseInvariance:
