@@ -17,7 +17,9 @@ status 0 when nothing differs, 1 otherwise.
 The corpus:
 - 5 bases x 7 baths x 2 cycles, each as one `cycle` and as sweeps over
   the 5 axes in CSV and JSON at 257 steps;
-- failure-heavy sweeps of 5000 rows (more than one 4096-row block);
+- failure-heavy sweeps of 5000 rows (more than one 4096-row block), two
+  of them failing on every row, and a 12289-row sweep whose first block
+  holds one value in every column;
 - each audit family at 1, 2049 and 5000 samples and two seeds, plus
   audits that are usage errors;
 - `ergotropy` on perfbench's nine oracle states and on edge states, each
@@ -62,13 +64,20 @@ AXES = (
     ("displacement", "0", "3"),
     ("cold-temperature", "0", "10"),
 )
-# (base, bath, cycle, axis, start, stop): rows that fail by the thousand
-FAILING_SWEEPS = (
-    (BASES[0], "second-kind:0", "second-kind", "delta-n", "-1", "1"),      # InvalidExcess
-    (BASES[0], "squeezed:0.5", "standard", "squeeze-r", "0", "1e3"),       # OverflowError
-    (BASES[3], "squeezed:0.5", "standard", "cold-temperature", "0", "10"),  # ZeroDivisionError
-    (BASES[4], "thermal", "standard", "frequency-ratio", "0.1", "1"),       # every row
-    (BASES[1], "squeezed:0.5", "modified", "delta-n", "-1", "1"),
+# (base, bath, cycle, axis, start, stop, steps): rows that fail by the thousand,
+# then tables whose blocks take the row templates' extreme paths
+BLOCK_SWEEPS = (
+    (BASES[0], "second-kind:0", "second-kind", "delta-n", "-1", "1", "5000"),  # InvalidExcess
+    (BASES[0], "squeezed:0.5", "standard", "squeeze-r", "0", "1e3", "5000"),  # OverflowError
+    (BASES[3], "squeezed:0.5", "standard", "cold-temperature", "0", "10", "5000"),  # ZeroDivisionError
+    (BASES[4], "thermal", "standard", "frequency-ratio", "0.1", "1", "5000"),  # every row
+    (BASES[1], "squeezed:0.5", "modified", "delta-n", "-1", "1", "5000"),
+    # every row of every block fails, with one of two OverflowError messages
+    (BASES[0], "squeezed:0.5", "modified", "squeeze-r", "600", "720", "5000"),
+    # the first block's axis rounds to 1.0 on every row, so every column holds
+    # one value there; in the second block the axis steps to the next double
+    (BASES[0], "squeezed:0.5", "standard", "cold-temperature", "1", "1.0000000000000002",
+     "12289"),
 )
 # perfbench's oracle states (n_th, r, alpha), cutoffs 52 to 747, then edge states;
 # the last is displaced and keeps every level (627 levels, K = N)
@@ -104,11 +113,11 @@ def corpus() -> list[list[str]]:
                     for fmt in ("csv", "json"):
                         commands.append(["sweep", *flags, "--axis", axis, f"--start={start}",
                                          "--stop", stop, "--steps", "257", "--format", fmt])
-    for (o1, o2, t1, t2), bath, cycle, axis, start, stop in FAILING_SWEEPS:
+    for (o1, o2, t1, t2), bath, cycle, axis, start, stop, steps in BLOCK_SWEEPS:
         for fmt in ("csv", "json"):
             commands.append(["sweep", "--omega1", o1, "--omega2", o2, "--t1", t1, "--t2", t2,
                              "--bath", bath, "--cycle", cycle, "--axis", axis,
-                             f"--start={start}", "--stop", stop, "--steps", "5000",
+                             f"--start={start}", "--stop", stop, "--steps", steps,
                              "--format", fmt])
     for family in ("first-kind", "second-kind", "mixed"):
         for samples in ("1", "2049", "5000"):

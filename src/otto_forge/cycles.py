@@ -499,11 +499,6 @@ class LedgerColumns:
     def failed(self) -> np.ndarray:
         return np.not_equal(self.errors, None)
 
-    def regime_cells(self, cell: Callable[[str], str]) -> list[str]:
-        """cell(regime tag value) of each row, one call per tag (meaningless for failed rows)."""
-        cells = [cell(tag.value) for tag in _REGIMES]
-        return [cells[code] for code in self.regime.tolist()]
-
     def ledger(self, i: int) -> StrokeLedger:
         """Row i as a StrokeLedger; raises the row's exception if it failed."""
         if self.errors[i] is not None:

@@ -385,6 +385,7 @@ def ergotropy_fock(
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> float:
     """Brute-force ergotropy of the state on a truncated Fock basis."""
+    omega = _check_frequency(omega)  # before the build, which a bad omega would waste
     return ergotropy_of_density(build_fock_density(state, cutoff, tail_tol), omega)
 
 

@@ -13,12 +13,14 @@ the axis value. That makes efficiency-versus-excess sweeps bath-agnostic.
 
 Sweeps and audits run on columns. `sweep_blocks` cuts a sweep's grid into
 blocks of 4096 rows and yields each block's CSV or JSON bytes before it
-evaluates the next: for each block it builds the omega1, T1 and delta_n
-columns of its axis, makes one call of the ledger kernel,
-`cycles.ledger_columns`, and formats the rows straight from the resulting
-columns, so its memory does not grow with the steps. One map from table
-column to ledger attribute gives `TABLE_COLUMNS`, the cells of a block and
-`ledger_record`, the same columns read from one StrokeLedger. An audit
+evaluates the next, so its memory does not grow with the steps: for each
+block it builds the omega1, T1 and delta_n columns of its axis, makes one
+call of the ledger kernel, `cycles.ledger_columns`, and formats the rows
+through a row template built from what the block holds. A column of one
+value in the block is formatted once, into the template, and a nullable one
+once per distinct value: the text of each cell is unchanged. One map from
+table column to ledger attribute gives `TABLE_COLUMNS`, the cells of a block
+and `ledger_record`, the same columns read from one StrokeLedger. An audit
 draws one matrix of uniforms per chunk of samples, a row per sample, decodes
 it with array arithmetic, evaluates each family with one kernel call and
 tallies its checks as array reductions. Every transcendental, power and
@@ -27,12 +29,11 @@ column form in `cycles`: one `cycles.rowwise` call, the one way a scalar
 function runs over rows. A column of one value (a sweep's base occupation,
 say) makes one scalar call; otherwise the fast path maps the libm function
 over the column, one Python `math` call per element, in the scalar path's
-expression order, and numpy ufuncs do only + - * /, comparisons, abs, max
-and where, which round exactly like the scalar code. The rows it cannot
-reproduce (whose scalar call raises, or might overflow) go to the scalar
-function itself, those rows alone. So a table, or an audit of its drawn
-samples, is byte-identical to one built row by row with the scalar
-evaluators.
+expression order, and numpy ufuncs do only + - * /, comparisons, abs, max and
+where, which round exactly like the scalar code. The rows it cannot reproduce
+(whose scalar call raises, or might overflow) go to the scalar function
+itself, those rows alone. So a table, or an audit of its drawn samples, is
+byte-identical to one built row by row with the scalar evaluators.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .cycles import (
     libm_column,
     occupation_column,
     rowwise,
+    _REGIMES,
 )
 
 # Each float column of the table, with the StrokeLedger and LedgerColumns
@@ -247,42 +249,53 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     return SweepTable(grid, spec.columns(grid))
 
 
-# Columns that may be undefined (empty in CSV, null in JSON), and the row
-# templates: defined floats go through "%.17g" (CSV) or repr (JSON, as
-# json.dumps writes floats); the other cells are formatted beforehand. A
-# failed row has only its axis value and its regime cell, "error:<error>".
+# Columns that may be undefined (empty in CSV, null in JSON); the row of each
+# format, with a "%s" for each column's field; and the templates of a failed
+# row, which has only its axis value and its regime cell, "error:<error>".
 _NULLABLE = ("W3_prime", "eta", "cop")
-_PRESET = (*_NULLABLE, "regime")
-_CSV_ROW = ",".join("%s" if c in _PRESET else "%.17g" for c in TABLE_COLUMNS) + "\r\n"
-_JSON_ROW = "{" + ", ".join(
-    f'"{c}": ' + ("%s" if c in _PRESET else "%r") for c in TABLE_COLUMNS
-) + "}"
-_CSV_ERROR = ",".join({"axis": "%.17g", "regime": "%s"}.get(c, "") for c in TABLE_COLUMNS) + "\r\n"
-_JSON_ERROR = "{" + ", ".join(
-    f'"{c}": ' + {"axis": "%r", "regime": "%s"}.get(c, "null") for c in TABLE_COLUMNS
-) + "}"
+_CSV_FRAME = ",".join(["%s"] * len(TABLE_COLUMNS)) + "\r\n"
+_JSON_FRAME = "{" + ", ".join(f'"{c}": %s' for c in TABLE_COLUMNS) + "}"
+_CSV_ERROR = _CSV_FRAME % tuple({"axis": "%.17g", "regime": "%s"}.get(c, "") for c in TABLE_COLUMNS)
+_JSON_ERROR = _JSON_FRAME % tuple({"axis": "%r", "regime": "%s"}.get(c, "null") for c in TABLE_COLUMNS)
 
 # Rows evaluated, formatted and written at a time: bounds a sweep's memory.
 _BLOCK_ROWS = 4096
 
 
-def _table_cells(table: SweepTable, number_format: str, null: str, regime_cell) -> list[list]:
-    """The cell lists of TABLE_COLUMNS, in order; undefined and regime cells as strings."""
+def _block_rows(table: SweepTable, number_format: str, null: str, text_cell, frame: str,
+                error_format: str) -> list[str]:
+    """The rows of a table piece, from one row template, `frame` % fields, built for its block.
+
+    A column of one value in the block (one regime, or the same bits: -0.0 is not 0.0,
+    a NaN is itself) is formatted once, into the template; a nullable or regime column
+    that varies, once per distinct value; other floats go through `number_format`.
+    """
     c = table.columns
-    cells = [table.axis.tolist()]
-    for column, name in _LEDGER_FLOATS.items():
-        values = getattr(c, name).tolist()
-        if column in _NULLABLE:
-            values = [null if math.isnan(x) else number_format % x for x in values]
-        cells.append(values)
-    return [*cells, c.regime_cells(regime_cell), c.law_residual.tolist()]
-
-
-def _format_rows(table: SweepTable, cells, row_format: str, error_format: str, text_cell) -> list:
-    """The rows of a table piece; a failed row keeps its axis value and its error cell."""
-    lines = [row_format % row for row in zip(*cells)]
-    for i in np.flatnonzero(table.columns.failed).tolist():
-        lines[i] = error_format % (cells[0][i], text_cell("error:" + table[i].error))
+    columns = (table.axis, *(getattr(c, name) for name in _LEDGER_FLOATS.values()),
+               c.regime, c.law_residual)
+    fields, cells = [], []
+    for column, values in zip(TABLE_COLUMNS, columns):
+        if column == "regime":  # a regime column holds indices into _REGIMES
+            texts, index = [text_cell(tag.value) for tag in _REGIMES], values
+        else:
+            bits = values.view(np.int64)
+            varies = (bits != bits[0]).any()
+            if varies and column not in _NULLABLE:
+                fields.append(number_format)
+                cells.append(values.tolist())
+                continue
+            distinct, index = np.unique(bits if varies else bits[:1], return_inverse=True)
+            texts = [null if column in _NULLABLE and math.isnan(x) else number_format % x
+                     for x in distinct.view(np.float64).tolist()]
+        if index.min() == index.max():
+            fields.append(texts[index[0]].replace("%", "%%"))
+        else:
+            fields.append("%s")
+            cells.append(np.array(texts, dtype=object)[index].tolist())
+    template = frame % tuple(fields)
+    lines = [template % cell for cell in zip(*cells)] if cells else [template % ()] * len(table)
+    for i in np.flatnonzero(c.failed).tolist():
+        lines[i] = error_format % (table.axis[i].item(), text_cell("error:" + table[i].error))
     return lines
 
 
@@ -294,14 +307,12 @@ def _csv_text(cell: str) -> str:
 
 
 def _csv_piece(table: SweepTable) -> str:
-    cells = _table_cells(table, "%.17g", "", str)
-    return "".join(_format_rows(table, cells, _CSV_ROW, _CSV_ERROR, _csv_text))
+    return "".join(_block_rows(table, "%.17g", "", _csv_text, _CSV_FRAME, _CSV_ERROR))
 
 
 def _json_piece(table: SweepTable) -> str:
     strict_json = functools.partial(json.dumps, allow_nan=False)
-    cells = _table_cells(table, "%r", "null", strict_json)
-    return ", ".join(_format_rows(table, cells, _JSON_ROW, _JSON_ERROR, strict_json))
+    return ", ".join(_block_rows(table, "%r", "null", strict_json, _JSON_FRAME, _JSON_ERROR))
 
 
 def _table_format(format: str):
@@ -318,8 +329,10 @@ def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
 
     CSV floats carry 17 significant digits, enough to round-trip doubles
     exactly; the JSON form round-trips bit-exactly through json.loads. Only
-    error-row regime cells can need CSV quoting. The table is one block, so
-    memory grows with its rows; `sweep_blocks` yields the same bytes in blocks.
+    error-row regime cells can need CSV quoting. The rows come from a row
+    template in which a column of one value is formatted once, into the same
+    text as each of its cells. The table is one block, so memory grows with
+    its rows; `sweep_blocks` yields the same bytes in blocks.
     """
     if not len(rows):
         raise ValueError("emit_table needs at least one row")

@@ -448,6 +448,16 @@ class TestErgotropyOracle:
         with pytest.raises(ValueError, match=message):
             ergotropy_fock(state, omega, 64)
 
+    @pytest.mark.parametrize("omega", [-1.0, 0.0, math.nan, math.inf])
+    def test_invalid_frequency_is_refused_before_the_build(self, omega, monkeypatch):
+        # the 747-level state, whose build alone takes tens of milliseconds
+        def refused(*args, **kwargs):
+            raise AssertionError("a density was built for an invalid frequency")
+
+        monkeypatch.setattr(fock, "build_fock_density", refused)
+        with pytest.raises(ValueError, match="frequency must be a positive finite number"):
+            ergotropy_fock(GaussianModeState(2, r=1.2, alpha=2), omega, 747)
+
     def test_under_resolved_state_is_refused_not_wrong(self):
         # at 192 levels this state's spectral ergotropy would be off by
         # percent-scale; the edge guard must catch it instead

@@ -1,6 +1,7 @@
 """Sweeps: grids, regime boundaries, table emission, audit campaigns."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -59,6 +60,20 @@ def row_record(row):
             "axis": row.axis_value, "regime": f"error:{row.error}"
         }
     return {"axis": row.axis_value} | ledger_record(row.ledger, row.law)
+
+
+def reference_table(rows, format):
+    """The table of `rows` written by the csv module or json.dumps from row_record."""
+    records = [row_record(row) for row in rows]
+    if format == "json":
+        return "[" + ", ".join(json.dumps(r, allow_nan=False) for r in records) + "]"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(TABLE_COLUMNS)
+    for record in records:
+        writer.writerow("" if v is None else f"{v:.17g}" if isinstance(v, float) else v
+                        for v in record.values())
+    return buffer.getvalue()
 
 
 def fig5_delta_n_spec(steps=101):
@@ -388,15 +403,62 @@ class TestEmitTable:
         failed = {r["regime"] for r in records if r["regime"].startswith("error:")}
         assert {"," in regime for regime in failed} == {True, False}
         assert any(r["W1"] is not None for r in records)
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\r\n")
-        writer.writerow(TABLE_COLUMNS)
-        for record in records:
-            writer.writerow("" if v is None else f"{v:.17g}" if isinstance(v, float) else v
-                            for v in record.values())
-        assert emit_table(rows, format="csv").decode() == buffer.getvalue()
-        expected = "[" + ", ".join(json.dumps(r, allow_nan=False) for r in records) + "]"
-        assert emit_table(rows, format="json").decode() == expected
+        for format in ("csv", "json"):
+            assert emit_table(rows, format=format).decode() == reference_table(rows, format)
+
+    # The first block's axis rounds to 1.0 on every row, so each field of its
+    # rows is written into the row template once; in the second the axis steps
+    # to the next double halfway (a column of one value in one block that varies
+    # in the next), and the third and fourth hold that double alone.
+    CONSTANT_BLOCK = SweepSpec(FIG5_BASE, SweepAxis.COLD_TEMPERATURE, 1.0,
+                               math.nextafter(1.0, 2.0), 3 * _BLOCK_ROWS + 1)
+    # every row fails, with one of two OverflowError messages (one holds a comma)
+    ALL_FAILED = SweepSpec(FIG5_BASE, SweepAxis.SQUEEZE_R, 600.0, 720.0, _BLOCK_ROWS + 5,
+                           CycleKind.MODIFIED)
+
+    @pytest.mark.parametrize("spec", [CONSTANT_BLOCK, ALL_FAILED],
+                             ids=["constant-block", "all-failed"])
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_block_templates_match_the_csv_module_and_json_dumps(self, spec, format):
+        table = run_sweep(spec)
+        expected = reference_table(table, format)
+        assert emit_table(table, format=format).decode() == expected
+        assert b"".join(sweep_blocks(spec, format)).decode() == expected
+
+    def test_a_column_of_one_value_in_one_block_varies_in_the_next(self):
+        lines = b"".join(sweep_blocks(self.CONSTANT_BLOCK, "csv")).decode().split("\r\n")
+        assert len(set(lines[1:_BLOCK_ROWS + 1])) == 1
+        second = {line.split(",")[0] for line in lines[_BLOCK_ROWS + 1:2 * _BLOCK_ROWS + 1]}
+        assert second == {"1", "1.0000000000000002"}
+        # the first block as a table of its own: every field is in its row template
+        axis = self.CONSTANT_BLOCK.grid()[:_BLOCK_ROWS]
+        block = SweepTable(axis, self.CONSTANT_BLOCK.columns(axis))
+        for format in ("csv", "json"):
+            assert emit_table(block, format=format).decode() == reference_table(block, format)
+
+    def test_every_row_of_a_block_can_fail(self):
+        records = json.loads(b"".join(sweep_blocks(self.ALL_FAILED, "json")))
+        assert len(records) == _BLOCK_ROWS + 5
+        assert all(r["regime"].startswith("error:") and r["W1"] is None for r in records)
+
+    # W2 and eta as the kernel might write them: signed zeros, and NaN for an
+    # undefined eta, mixed in the block or one value throughout
+    @pytest.mark.parametrize("w2, eta, w2_cells, eta_cells", [
+        ([0.0, -0.0, 0.0], [math.nan, -0.0, 0.0], ["0", "-0", "0"], ["", "-0", "0"]),
+        ([-0.0] * 3, [-0.0] * 3, ["-0"] * 3, ["-0"] * 3),
+        ([0.0] * 3, [math.nan] * 3, ["0"] * 3, [""] * 3),
+    ], ids=["mixed", "negative-zero", "zero-and-nan"])
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_signed_zeros_and_nan_keep_their_cells(self, w2, eta, w2_cells, eta_cells, format):
+        table = run_sweep(fig5_delta_n_spec(steps=6))
+        columns = dataclasses.replace(table.columns, w2=np.array(w2 * 2), eta=np.array(eta * 2))
+        rows = SweepTable(table.axis, columns)
+        text = emit_table(rows, format=format).decode()
+        assert text == reference_table(rows, format)
+        if format == "csv":
+            cells = [dict(zip(TABLE_COLUMNS, row)) for row in csv.reader(io.StringIO(text))][1:]
+            assert [cell["W2"] for cell in cells] == w2_cells * 2
+            assert [cell["eta"] for cell in cells] == eta_cells * 2
 
     # a little over two blocks: the modified squeeze-r sweep fails from row
     # 1053 to the end, across both block boundaries, first where W2 overflows
