@@ -381,8 +381,8 @@ _BUNDLED_BLAS = (
 def _one_blas_thread() -> None:
     """Run numpy's and scipy's bundled OpenBLAS on one thread, unless OPENBLAS_NUM_THREADS is set.
 
-    The oracle's products are too small for a second thread to pay for
-    itself. A package, library or setter that is missing is skipped.
+    The oracle's products are too small for a second OpenBLAS thread to pay
+    for itself. A package, library or setter that is missing is skipped.
     """
     if "OPENBLAS_NUM_THREADS" in os.environ:
         return

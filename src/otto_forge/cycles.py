@@ -57,7 +57,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, NamedTuple, Union
 
 import numpy as np
@@ -517,6 +517,10 @@ class LedgerColumns:
             eta_reason=_ETA_REASONS[self.reason[i]],
             note=_NOTHING_TO_UNDO if fell_back else None,
         )
+
+    def row_slice(self, rows: slice) -> LedgerColumns:
+        """Those rows of every column; their `laws` is computed anew when read."""
+        return LedgerColumns(self.kind, *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
 
     def law(self, i: int) -> LawReport:
         """The law audit of row i's ledger (the row must not have failed)."""

@@ -44,6 +44,12 @@ Its state is one bracket: the failed cutoffs, and the lowest passing cutoff
 with its density, which every later probe lies below. It keeps that
 density alone and returns it, so a caller builds each probed cutoff once.
 
+A squeezed and displaced state is built on two threads: a daemon helper, one
+per process and started on first use, takes the displacement's SVD while the
+caller applies the squeeze, each LAPACK and BLAS call being the serial one.
+The build's peak is then the squeeze stage's plus the displacement's U, V^T
+and dbdsdc workspace, 5 (N/2)^2 doubles, not the larger of the two.
+
 A dressing needs levels for its generator to act on: the squeeze generator
 is empty below 3 levels and the displacement one below 2. A build there
 would be the undressed state with nothing in its tail, so the guard
@@ -58,7 +64,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from importlib import machinery, util
 
 import numpy as np
@@ -249,8 +255,63 @@ def _bidiagonal_svd(diag: np.ndarray, subdiag: np.ndarray) -> tuple[np.ndarray, 
     return u, s, vt
 
 
-def _apply_skew_exponential(subdiag: np.ndarray, block: np.ndarray) -> None:
-    """Overwrite the complex block with expm(G) @ block, for the skew-Hermitian tridiagonal G.
+class _Helper:
+    """A daemon thread, started on first use, that makes one call at a time for a waiting caller."""
+
+    def __init__(self) -> None:  # run again in a forked child, which has no helper thread
+        self.lock, self.go, self.job = threading.Lock(), threading.Semaphore(0), None
+        self.thread = threading.Thread(target=self._serve, name="otto-forge-helper", daemon=True)
+
+    def _serve(self) -> None:
+        while self.go.acquire():
+            call, out, done = self.job
+            try:
+                out.append(call())
+            except BaseException as exc:  # the waiting caller raises it
+                out.append(exc)
+            done.set()
+
+    def beside(self, call, work):
+        """call() on the helper while work() runs here; once both end, call's result or error."""
+        out, done = [], threading.Event()
+        with self.lock:
+            if not self.thread.is_alive():
+                self.thread.start()
+            self.job = call, out, done
+            self.go.release()
+            try:
+                work()
+            finally:
+                done.wait()
+                result = out.pop()  # the helper keeps no reference to it
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+
+_HELPER = _Helper()
+if hasattr(os, "register_at_fork"):  # POSIX only, as is os.fork
+    os.register_at_fork(after_in_child=_HELPER.__init__)
+
+
+def _skew_factors(subdiag: np.ndarray, work=None) -> tuple[np.ndarray, ...] | None:
+    """U, s, V^T on the real odd levels, and d, for _apply_skew_exponential; None where G = 0.
+
+    Given `work`, the SVD runs on the helper thread while work() runs on this one.
+    """
+    g = np.asarray(subdiag, dtype=complex)
+    if not g.any():  # no factors; work() returns None
+        return None if work is None else work()
+    dim, t = g.size + 1, np.abs(g)
+    svd = partial(_bidiagonal_svd, np.append(t[0::2], np.zeros(dim % 2)), t[1::2])
+    u, s, vt = svd() if work is None else _HELPER.beside(svd, work)
+    # d_k = exp(i p_k) with p_0 = 0, p_{k+1} = p_k - (arg g_k + pi/2)
+    d = np.exp(1j * np.concatenate(([0.0], -np.cumsum(np.angle(g) + 0.5 * np.pi))))
+    return u, s, vt[:, : dim // 2], d
+
+
+def _apply_skew_exponential(factors: tuple[np.ndarray, ...] | None, block: np.ndarray) -> None:
+    """Overwrite the complex block with expm(G) @ block, from the skew-Hermitian G's _skew_factors.
 
     G has zero diagonal, G[k+1, k] = g_k and G[k, k+1] = -conj(g_k), with
     every g_k nonzero or all of them zero. A unit-modulus diagonal
@@ -269,14 +330,9 @@ def _apply_skew_exponential(subdiag: np.ndarray, block: np.ndarray) -> None:
     four (N/2) x (N/2) products with the block, exact at every s, 0 included.
     Both halves are read before either is written back.
     """
-    g = np.asarray(subdiag, dtype=complex)
-    if not g.any():
+    if factors is None:
         return
-    dim, t = g.size + 1, np.abs(g)
-    u, s, vt = _bidiagonal_svd(np.append(t[0::2], np.zeros(dim % 2)), t[1::2])
-    vt = vt[:, : dim // 2]  # V^T on the real odd levels
-    # d_k = exp(i p_k) with p_0 = 0, p_{k+1} = p_k - (arg g_k + pi/2)
-    d = np.exp(1j * np.concatenate(([0.0], -np.cumsum(np.angle(g) + 0.5 * np.pi))))
+    u, s, vt, d = factors
     np.multiply(d[:, None], block, out=block)  # d first: a complex product rounds by operand order
     ye, yo = _real_times_complex(u.T, block[0::2]), _real_times_complex(vt, block[1::2])
     cos, sin = np.cos(s)[:, None], 1j * np.sin(s)[:, None]
@@ -299,7 +355,8 @@ def _dressed_thermal_columns(state: GaussianModeState, p: np.ndarray) -> np.ndar
     width = dim if state.is_passive else int(np.count_nonzero(p > np.finfo(float).eps * p[0]))
     w = np.zeros((dim, width), dtype=complex)
     w[np.arange(width), np.arange(width)] = np.sqrt(p[:width])
-    if state.r > 0.0:
+
+    def squeeze() -> None:
         xi = state.r * complex(math.cos(state.squeeze_phase), math.sin(state.squeeze_phase))
         for offset in (0, 1):
             block = w[offset::2, offset::2]  # a view of one parity block
@@ -307,9 +364,13 @@ def _dressed_thermal_columns(state: GaussianModeState, p: np.ndarray) -> np.ndar
                 continue
             low = np.arange(offset, dim - 2, 2, dtype=float)  # each level but the block's top
             subdiag = -0.5 * xi * np.sqrt((low + 1.0) * (low + 2.0))
-            _apply_skew_exponential(subdiag, block)
+            _apply_skew_exponential(_skew_factors(subdiag), block)
+
     if state.alpha != 0j:
-        _apply_skew_exponential(state.alpha * np.sqrt(np.arange(1, dim, dtype=float)), w)
+        g = state.alpha * np.sqrt(np.arange(1, dim, dtype=float))
+        _apply_skew_exponential(_skew_factors(g, squeeze if state.r > 0.0 else None), w)
+    elif state.r > 0.0:
+        squeeze()
     return w
 
 

@@ -228,7 +228,7 @@ class SweepRow:
 class SweepTable(Sequence):
     """A sweep's rows held as columns: the axis grid and the ledger columns.
 
-    An integer index gives a SweepRow.
+    An integer index gives a SweepRow, and a slice a SweepTable of those rows.
     """
 
     def __init__(self, axis: np.ndarray, columns: LedgerColumns) -> None:
@@ -238,7 +238,9 @@ class SweepTable(Sequence):
     def __len__(self) -> int:
         return len(self.axis)
 
-    def __getitem__(self, index: int) -> SweepRow:
+    def __getitem__(self, index: int | slice) -> SweepRow | SweepTable:
+        if isinstance(index, slice):
+            return SweepTable(self.axis[index], self.columns.row_slice(index))
         i = range(len(self.axis))[index]
         return SweepRow(self.axis[i].item(), self.columns, i)
 

@@ -380,6 +380,16 @@ class TestAuditLaws:
         assert law.clausius_sum == pytest.approx(-0.065349637019601296, rel=1e-9)
         assert law.clausius_sum <= 0.0
 
+    def test_cop_bound_needs_a_hotter_bath(self):
+        # T1/(T2 - T1) bounds a refrigerator's COP only where T2 > T1; at
+        # T1 = T2 a defined COP has no bound (NaN, not inf)
+        columns = cycle_columns(CycleKind.MODIFIED, CycleConfig(7, 20, 2, 2, SqueezedThermalBath(0.5)))
+        assert columns.cop[0] == pytest.approx(7 / 13, rel=1e-12)
+        assert math.isnan(columns.laws.bound[0])
+        columns = cycle_columns(CycleKind.MODIFIED, CycleConfig(7, 20, 2, 3, SqueezedThermalBath(0.5)))
+        assert not math.isnan(columns.cop[0])
+        assert columns.laws.bound[0] == 2.0
+
     def test_zero_temperature_skips_clausius(self):
         config = CycleConfig(1, 2, 0, 0, SqueezedThermalBath(0.5))
         law = audit_laws(standard_cycle(config), config)

@@ -16,6 +16,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import weakref
 
@@ -32,6 +33,7 @@ from otto_forge import (
     DensityNotPositive,
     FockDensity,
     GaussianModeState,
+    LapackFailure,
     build_fock_density,
     choose_cutoff,
     delta_n,
@@ -125,6 +127,14 @@ FROZEN_BUILD_BUDGETS = [3, 3, 4, 4, 5, 3, 2, 3, 3, 3, 3, 4, 2, 3, 3]
 RANDOM_BUILD_BUDGET = 258
 
 
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter on this tree's otto_forge, warnings made errors."""
+    src = pathlib.Path(otto_forge.__file__).parents[1]
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", textwrap.dedent(code)],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=120)
+
+
 class TestConstruction:
     def test_vacuum_is_exact(self):
         density = build_fock_density(GaussianModeState(0.0), cutoff=4)
@@ -173,15 +183,17 @@ class TestConstruction:
         block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
         generator = np.diag(g, -1) - np.diag(g.conj(), 1)
         result = block.copy()
-        assert fock._apply_skew_exponential(g, result) is None
+        assert fock._apply_skew_exponential(fock._skew_factors(g), result) is None
         assert np.max(np.abs(result - expm(generator) @ block)) <= 1e-12
 
     def test_zero_generator_leaves_the_block(self):
         # a squeeze amplitude of 5e-324 halves to an all-zero generator
         block = np.arange(12.0).reshape(4, 3) + 1j
         result = block.copy()
-        fock._apply_skew_exponential(np.zeros(3), result)
+        fock._apply_skew_exponential(fock._skew_factors(np.zeros(3)), result)
         assert np.array_equal(result, block)
+        ran = []  # work handed in beside an empty generator still runs, here
+        assert fock._skew_factors(np.zeros(3), lambda: ran.append(1)) is None and ran == [1]
 
     def test_exponential_overwrites_one_parity_block_only(self):
         # the squeeze applies it to the strided view of one parity block
@@ -191,7 +203,7 @@ class TestConstruction:
         block = w[1::2, 1::2]
         g = 0.4 * np.exp(0.3j) * np.sqrt(np.arange(1.0, block.shape[0]))
         expected = expm(np.diag(g, -1) - np.diag(g.conj(), 1)) @ block
-        fock._apply_skew_exponential(g, block)
+        fock._apply_skew_exponential(fock._skew_factors(g), block)
         assert np.max(np.abs(w[1::2, 1::2] - expected)) <= 1e-12
         untouched = np.ones(w.shape, dtype=bool)
         untouched[1::2, 1::2] = False
@@ -224,7 +236,7 @@ class TestConstruction:
         block = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
         norms = np.linalg.norm(block, axis=0)
         result = block.copy()
-        fock._apply_skew_exponential(g, result)
+        fock._apply_skew_exponential(fock._skew_factors(g), result)
         assert np.max(np.abs(np.linalg.norm(result, axis=0) / norms - 1.0)) <= 1e-12
 
     def test_passive_spectrum_is_the_squared_diagonal(self, monkeypatch):
@@ -261,7 +273,7 @@ class TestConstruction:
     def test_first_builds_in_two_threads(self):
         # two threads that start a fresh interpreter's first builds at once
         # both load the Cython tables, and build the same factor
-        code = textwrap.dedent("""
+        result = run_fresh("""
             import threading
             from otto_forge import GaussianModeState, build_fock_density
             state = GaussianModeState(0.3, r=0.4, alpha=1.1)
@@ -277,9 +289,6 @@ class TestConstruction:
             assert not any(thread.is_alive() for thread in threads)
             assert factors[0] is not None and factors[0] == factors[1]
         """)
-        src = pathlib.Path(otto_forge.__file__).parents[1]
-        result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
-                                capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert not result.stderr
 
@@ -385,6 +394,112 @@ class TestConstruction:
                 density.eigenvalues
             return
         assert np.max(np.abs(density.eigenvalues - np.sort(np.append(p, [0.0, 0.0])))) <= 1e-12
+
+
+def serial_dressed_columns(state: GaussianModeState, cutoff: int) -> np.ndarray:
+    """The dressed factor on one thread: both squeeze blocks, then the displacement."""
+    p = fock.thermal_probabilities(state.n_th, cutoff)
+    width = int(np.count_nonzero(p > np.finfo(float).eps * p[0]))
+    w = np.zeros((cutoff, width), dtype=complex)
+    w[np.arange(width), np.arange(width)] = np.sqrt(p[:width])
+    xi = state.r * complex(math.cos(state.squeeze_phase), math.sin(state.squeeze_phase))
+    for offset in (0, 1):
+        low = np.arange(offset, cutoff - 2, 2, dtype=float)
+        g = -0.5 * xi * np.sqrt((low + 1.0) * (low + 2.0))
+        fock._apply_skew_exponential(fock._skew_factors(g), w[offset::2, offset::2])
+    g = state.alpha * np.sqrt(np.arange(1, cutoff, dtype=float))
+    fock._apply_skew_exponential(fock._skew_factors(g), w)
+    return w
+
+
+def digest(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+class TestHelperThread:
+    """A displaced squeezed state's build takes the displacement's SVD on a helper thread."""
+
+    # real and complex alpha, a squeeze phase, odd and even cutoffs, K < N and K = N
+    STATES = [
+        (GaussianModeState(0.3, r=0.4, alpha=1.1), 64, False),
+        (GaussianModeState(0.3, r=0.4, alpha=1.1), 65, False),
+        (GaussianModeState(0.5, r=0.3, alpha=0.8 + 0.6j), 64, False),
+        (GaussianModeState(0.4, r=0.2, alpha=-0.3 - 0.9j, squeeze_phase=2.1), 33, False),
+        (GaussianModeState(20.0, r=0.2, alpha=1.0 - 1.0j, squeeze_phase=0.5), 64, True),
+        (GaussianModeState(20.0, r=0.2, alpha=-1.5), 63, True),
+    ]
+
+    @pytest.mark.parametrize("state, cutoff, full_width", STATES)
+    def test_overlapped_build_has_the_serial_bytes(self, state, cutoff, full_width, monkeypatch):
+        caller, sizes = threading.current_thread(), []
+        svd = fock._bidiagonal_svd
+
+        def recorded(diag, subdiag):
+            sizes.append((diag.size, threading.current_thread() is caller))
+            return svd(diag, subdiag)
+
+        monkeypatch.setattr(fock, "_bidiagonal_svd", recorded)
+        w = fock._dressed_thermal_columns(state, fock.thermal_probabilities(state.n_th, cutoff))
+        # the two squeeze blocks' SVDs here, the larger displacement one on the helper
+        assert sorted(sizes)[-1] == ((cutoff + 1) // 2, False)
+        assert [here for _, here in sizes].count(True) == 2
+        assert (w.shape[1] == cutoff) is full_width
+        assert w.tobytes() == serial_dressed_columns(state, cutoff).tobytes()
+
+    def test_helper_failure_reaches_the_caller(self, monkeypatch, capsys):
+        caller, svd = threading.current_thread(), fock._bidiagonal_svd
+
+        def failing_on_the_helper(diag, subdiag):
+            if threading.current_thread() is not caller:
+                raise LapackFailure("LAPACK dbdsdc failed with info 1")
+            return svd(diag, subdiag)
+
+        monkeypatch.setattr(fock, "_bidiagonal_svd", failing_on_the_helper)
+        with pytest.raises(LapackFailure, match="info 1"):
+            build_fock_density(GaussianModeState(0.3, r=0.4, alpha=1.1), 64, 0.5)
+        argv = ["ergotropy", "--nth", "0.2", "--r", "0.5", "--alpha-re", "1", "--omega", "3",
+                "--oracle"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "physics error: LAPACK dbdsdc failed with info 1\n"
+        monkeypatch.setattr(fock, "_bidiagonal_svd", svd)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["oracle_cutoff"] == 52
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_helper(self):
+        # the child has no copy of its parent's helper thread; a build there
+        # that waited on it would hang until the alarm ends the child
+        result = run_fresh("""
+            import os, signal, warnings
+            from otto_forge import GaussianModeState, build_fock_density
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+            state = GaussianModeState(0.3, r=0.4, alpha=1.1)
+            factor = build_fock_density(state, 64, 0.5).factor.tobytes()
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)
+                os._exit(0 if build_fock_density(state, 64, 0.5).factor.tobytes() == factor else 1)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0, status
+            assert build_fock_density(state, 64, 0.5).factor.tobytes() == factor
+        """)
+        assert result.returncode == 0, result.stderr
+        assert not result.stderr
+
+    def test_first_build_binds_the_svd_on_both_threads(self):
+        # both threads' first SVD binds dbdsdc at once, in a fresh interpreter
+        state, cutoff = self.STATES[2][:2]
+        expected = digest(serial_dressed_columns(state, cutoff))
+        result = run_fresh(f"""
+            from otto_forge import GaussianModeState, fock
+            state = GaussianModeState(0.5, r=0.3, alpha=0.8 + 0.6j)
+            w = fock._dressed_thermal_columns(state, fock.thermal_probabilities(0.5, {cutoff}))
+            print(__import__("hashlib").sha256(w.tobytes()).hexdigest())
+        """)
+        assert result.returncode == 0, result.stderr
+        assert not result.stderr
+        assert result.stdout.strip() == expected
 
 
 class TestErgotropyOracle:

@@ -251,6 +251,40 @@ class TestRunSweep:
         assert rows[0].ledger.e2 == pytest.approx(rows[1].ledger.e2, rel=1e-12)
 
 
+    # clean and failed rows, in a modified table (whose law columns check a
+    # COP) and a second-kind one (whose law columns invert occupations)
+    SLICED_SPECS = [
+        SweepSpec(FIG5_BASE, SweepAxis.SQUEEZE_R, 300.0, 720.0, 43, CycleKind.MODIFIED),
+        SweepSpec(CycleConfig(7, 20, 2, 10, SecondKindBath(excess=0.0)), SweepAxis.DELTA_N,
+                  -1.0, 1.0, 9, CycleKind.SECOND_KIND),
+    ]
+
+    @pytest.mark.parametrize("spec", SLICED_SPECS, ids=["modified", "second-kind"])
+    @pytest.mark.parametrize("rows", [
+        slice(1, 3), slice(None, None, 3), slice(-4, -1), slice(-1, None, -2), slice(None),
+        slice(5, 2), slice(50, 60), slice(-100, 2),
+    ])
+    def test_slices_agree_with_integer_indexing(self, spec, rows):
+        table = run_sweep(spec)
+        table.columns.laws  # the slice computes its own
+        part = table[rows]
+        indices = range(len(table))[rows]
+        assert isinstance(part, SweepTable) and len(part) == len(indices)
+        assert "laws" not in vars(part.columns)
+        for j, i in enumerate(indices):
+            assert part[j].axis_value == table[i].axis_value
+            assert part[j].error == table[i].error
+            if table[i].error is None:
+                assert repr(part[j].ledger) == repr(table[i].ledger)
+                assert repr(part[j].law) == repr(table[i].law)
+        for computed, sliced in zip(part.columns.laws, table.columns.laws):
+            np.testing.assert_array_equal(computed, sliced[rows])
+        if indices:
+            for format in ("csv", "json"):
+                expected = reference_table([table[i] for i in indices], format)
+                assert emit_table(part, format=format).decode() == expected
+
+
 class TestFailedRows:
     """A failed row costs about what a clean row costs and keeps its first error."""
 
