@@ -22,8 +22,9 @@ The corpus:
   holds one value in every column;
 - each audit family at 1, 2049 and 5000 samples and two seeds, plus
   audits that are usage errors;
-- `ergotropy` on perfbench's nine oracle states and on edge states, each
-  with and without `--oracle`.
+- `ergotropy` on perfbench's nine oracle states, on the heavy state
+  `--nth 5 --r 1.5 --alpha-re 3 --alpha-im 1 --omega 1` and on edge states,
+  each with and without `--oracle`.
 """
 
 from __future__ import annotations
@@ -89,6 +90,9 @@ ERGOTROPY_STATES = (
     ("0", "0", "0", "0"), ("10", "1e-10", "0", "0"), ("0.5", "0", "0", "1"),
     ("-1", "0", "0", "0"), ("20", "0", "1", "0"),
 )
+# the heavy state: a 3042-level search whose bytes depend on the BLAS thread
+# count unless the oracle runs one thread
+HEAVY_ERGOTROPY = ["--nth", "5", "--r", "1.5", "--alpha-re", "3", "--alpha-im", "1", "--omega", "1"]
 EDGE_ERGOTROPY = (
     ["--nth", "0.1", "--omega", "1e308"],
     ["--nth", "0", "--omega", "5e-324"],
@@ -128,7 +132,7 @@ def corpus() -> list[list[str]]:
         commands.append(["audit", "--samples", samples, "--seed", seed])
     states = [["--nth", n, "--r", r, "--alpha-re", re, "--alpha-im", im, "--omega", "20"]
               for n, r, re, im in ERGOTROPY_STATES]
-    for flags in (*states, *EDGE_ERGOTROPY):
+    for flags in (*states, HEAVY_ERGOTROPY, *EDGE_ERGOTROPY):
         commands += [["ergotropy", *flags], ["ergotropy", *flags, "--oracle"]]
     return commands
 
@@ -187,6 +191,8 @@ def _tree(rev: str | None, scratch: str) -> str:
 def _start(src: str) -> subprocess.Popen:
     code = (f"import sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); "
             f"import identity; identity.run_corpus({src!r})")
+    # one BLAS thread: the oracle sets it itself, but older trees follow the
+    # host's thread count, and their bytes can only be compared with it pinned
     env = os.environ | {"OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, env=env,
                             text=True)

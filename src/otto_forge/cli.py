@@ -19,14 +19,12 @@ underneath, such as `io.TextIOWrapper(io.BytesIO())`.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import itertools
 import json
 import math
 import os
 import sys
-from importlib import util
 
 from . import __version__
 from .errors import OttoForgeError
@@ -371,42 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-# each package's bundled OpenBLAS: its file name prefix and its thread-count setter
-_BUNDLED_BLAS = (
-    ("numpy", "libscipy_openblas64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy", "libscipy_openblas-", "scipy_openblas_set_num_threads"),
-)
-
-
-def _one_blas_thread() -> None:
-    """Run numpy's and scipy's bundled OpenBLAS on one thread, unless OPENBLAS_NUM_THREADS is set.
-
-    The oracle's products are too small for a second OpenBLAS thread to pay
-    for itself. A package, library or setter that is missing is skipped.
-    """
-    if "OPENBLAS_NUM_THREADS" in os.environ:
-        return
-    for package, prefix, setter in _BUNDLED_BLAS:
-        spec = util.find_spec(package)
-        if spec is None or not spec.submodule_search_locations:
-            continue
-        libs = os.path.join(os.path.dirname(spec.submodule_search_locations[0]), f"{package}.libs")
-        try:
-            names = [name for name in os.listdir(libs) if name.startswith(prefix)]
-        except OSError:
-            continue
-        for name in names:
-            try:
-                function = getattr(ctypes.CDLL(os.path.join(libs, name)), setter)
-            except (OSError, AttributeError):
-                continue
-            function.argtypes, function.restype = [ctypes.c_int], None
-            function(1)
-
-
-def run() -> None:
-    """The console script: main() on one BLAS thread unless OPENBLAS_NUM_THREADS says otherwise."""
-    _one_blas_thread()
+def run() -> None:  # the console script
     raise SystemExit(main())
 
 

@@ -33,22 +33,19 @@ thermal diagonal's tail, and the guards additionally inspect the occupation
 mass parked on the top Fock levels (the reflected mass lands there), which
 does detect an unresolved state.
 
-The cutoff search uses the tail-decay law: the tail bound falls roughly as
-exp(-2N/V) with V = (2 n_th + 1) e^{2r} + 2|alpha|^2, so it starts at
-(V/2) ln(1/tol), or lower for a displaced state, whose crossing the law
-puts too high. Each passing build predicts the crossing from its own
-populations, and the search probes the failing side of that prediction
-first; it steps on the log of the tail bound, with the decay rate measured
-between its probes, only where it has no pass or the prediction misses.
-Its state is one bracket: the failed cutoffs, and the lowest passing cutoff
-with its density, which every later probe lies below. It keeps that
-density alone and returns it, so a caller builds each probed cutoff once.
+The cutoff search (`search_density`) keeps one bracket: the failed cutoffs,
+and the lowest passing cutoff with its density, which it returns, so a
+caller builds each probed cutoff once.
 
 A squeezed and displaced state is built on two threads: a daemon helper, one
 per process and started on first use, takes the displacement's SVD while the
 caller applies the squeeze, each LAPACK and BLAS call being the serial one.
 The build's peak is then the squeeze stage's plus the displacement's U, V^T
-and dbdsdc workspace, 5 (N/2)^2 doubles, not the larger of the two.
+and dbdsdc workspace, 5 (N/2)^2 doubles, not the larger of the two. Every
+build and spectrum runs numpy's and scipy's bundled OpenBLAS on one thread
+and puts their counts back after, as threaded products round differently:
+meanwhile other threads' BLAS calls in the process run single-threaded too,
+and OPENBLAS_NUM_THREADS changes neither the oracle's threads nor its bytes.
 
 A dressing needs levels for its generator to act on: the squeeze generator
 is empty below 3 levels and the displacement one below 2. A build there
@@ -150,10 +147,11 @@ class FockDensity:
             ev = np.sort(np.abs(diag) ** 2)
         else:
             # Weyl: G = W^dag W has its eigenvalues within ||G - diag G||_F of its diagonal
-            gram = _zherk(w)  # conj(G)'s upper triangle
-            ev = np.sort(gram.diagonal().real)
-            np.fill_diagonal(gram, 0.0)
-            bound = math.sqrt(2.0) * np.linalg.norm(gram)
+            with _ONE_BLAS_THREAD:  # the norm's dot products are BLAS calls too
+                gram = _zherk(w)  # conj(G)'s upper triangle
+                ev = np.sort(gram.diagonal().real)
+                np.fill_diagonal(gram, 0.0)
+                bound = math.sqrt(2.0) * np.linalg.norm(gram)
             if not bound <= _EIGENVALUE_FLOOR:
                 raise DensityNotPositive(f"spectrum error bound {bound:.1e} > {_EIGENVALUE_FLOOR}")
         return np.clip(np.concatenate((np.zeros(self.dim - ev.size), ev)), 0.0, 1.0)
@@ -289,9 +287,56 @@ class _Helper:
         return result
 
 
-_HELPER = _Helper()
+_BUNDLED_BLAS = (  # each bundled OpenBLAS: its package, file name prefix and thread-count getter
+    ("numpy", "libscipy_openblas64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy", "libscipy_openblas-", "scipy_openblas_get_num_threads"),
+)
+
+
+@cache
+def _blas_thread_counts() -> tuple[tuple[ctypes._CFuncPtr, ctypes._CFuncPtr], ...]:
+    """The thread-count getter and setter of each bundled OpenBLAS; a missing one is skipped."""
+    found = []
+    for package, prefix, getter in _BUNDLED_BLAS:
+        spec = util.find_spec(package)
+        top = spec.submodule_search_locations if spec else None
+        libs = os.path.join(os.path.dirname(top[0]), f"{package}.libs") if top else ""
+        names = [n for n in os.listdir(libs) if n.startswith(prefix)] if os.path.isdir(libs) else []
+        for name in names:
+            try:
+                lib = ctypes.CDLL(os.path.join(libs, name))
+                get, put = getattr(lib, getter), getattr(lib, getter.replace("_get_", "_set_"))
+            except (OSError, AttributeError):
+                continue
+            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+            found.append((get, put))
+    return tuple(found)
+
+
+class _OneBlasThread:
+    """A scope with every bundled OpenBLAS on one thread, process-wide, until the last one exits."""
+
+    def __init__(self) -> None:  # run again in a forked child, where the lock may be held
+        self.lock, self.depth, self.saved = threading.Lock(), 0, ()
+
+    def __enter__(self) -> None:
+        with self.lock:
+            if not self.depth:
+                self.saved = tuple((put, get()) for get, put in _blas_thread_counts())
+                for put, _ in self.saved:
+                    put(1)
+            self.depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self.lock:
+            self.depth -= 1
+            for put, count in () if self.depth else self.saved:
+                put(count)
+
+
+_HELPER, _ONE_BLAS_THREAD = _Helper(), _OneBlasThread()
 if hasattr(os, "register_at_fork"):  # POSIX only, as is os.fork
-    os.register_at_fork(after_in_child=_HELPER.__init__)
+    os.register_at_fork(after_in_child=lambda: (_HELPER.__init__(), _ONE_BLAS_THREAD.__init__()))
 
 
 def _skew_factors(subdiag: np.ndarray, work=None) -> tuple[np.ndarray, ...] | None:
@@ -366,11 +411,12 @@ def _dressed_thermal_columns(state: GaussianModeState, p: np.ndarray) -> np.ndar
             subdiag = -0.5 * xi * np.sqrt((low + 1.0) * (low + 2.0))
             _apply_skew_exponential(_skew_factors(subdiag), block)
 
-    if state.alpha != 0j:
-        g = state.alpha * np.sqrt(np.arange(1, dim, dtype=float))
-        _apply_skew_exponential(_skew_factors(g, squeeze if state.r > 0.0 else None), w)
-    elif state.r > 0.0:
-        squeeze()
+    with _ONE_BLAS_THREAD:
+        if state.alpha != 0j:
+            g = state.alpha * np.sqrt(np.arange(1, dim, dtype=float))
+            _apply_skew_exponential(_skew_factors(g, squeeze if state.r > 0.0 else None), w)
+        elif state.r > 0.0:
+            squeeze()
     return w
 
 

@@ -13,27 +13,21 @@ the axis value. That makes efficiency-versus-excess sweeps bath-agnostic.
 
 Sweeps and audits run on columns. `sweep_blocks` cuts a sweep's grid into
 blocks of 4096 rows and yields each block's CSV or JSON bytes before it
-evaluates the next, so its memory does not grow with the steps: for each
-block it builds the omega1, T1 and delta_n columns of its axis, makes one
-call of the ledger kernel, `cycles.ledger_columns`, and formats the rows
-through a row template built from what the block holds. A column of one
-value in the block is formatted once, into the template, and a nullable one
-once per distinct value: the text of each cell is unchanged. One map from
-table column to ledger attribute gives `TABLE_COLUMNS`, the cells of a block
-and `ledger_record`, the same columns read from one StrokeLedger. An audit
-draws one matrix of uniforms per chunk of samples, a row per sample, decodes
-it with array arithmetic, evaluates each family with one kernel call and
-tallies its checks as array reductions. Every transcendental, power and
-complex modulus (delta_n, the occupations and temperatures) comes from a
-column form in `cycles`: one `cycles.rowwise` call, the one way a scalar
-function runs over rows. A column of one value (a sweep's base occupation,
-say) makes one scalar call; otherwise the fast path maps the libm function
-over the column, one Python `math` call per element, in the scalar path's
-expression order, and numpy ufuncs do only + - * /, comparisons, abs, max and
-where, which round exactly like the scalar code. The rows it cannot reproduce
-(whose scalar call raises, or might overflow) go to the scalar function
-itself, those rows alone. So a table, or an audit of its drawn samples, is
-byte-identical to one built row by row with the scalar evaluators.
+evaluates the next, so its memory does not grow with the steps: for each block
+it builds the omega1, T1 and delta_n columns of its axis, makes one call of
+the ledger kernel, `cycles.ledger_columns`, and formats the rows through a row
+template built from what the block holds. A column of one value in the block
+is formatted once, into the template, and a nullable one once per distinct
+value: the text of each cell is unchanged. `emit_table` formats a table
+already evaluated in the same blocks. One map from table column to ledger
+attribute gives `TABLE_COLUMNS`, the cells of a block and `ledger_record`, the
+same columns read from one StrokeLedger. An audit draws one matrix of uniforms
+per chunk of samples, a row per sample, decodes it with array arithmetic,
+evaluates each family with one kernel call and tallies its checks as array
+reductions. Every transcendental, power and complex modulus comes from a
+column form in `cycles`, one `cycles.rowwise` call, which rounds as the scalar
+path does (see the `cycles` docstring). So a table, or an audit of its drawn
+samples, is byte-identical to one built row by row with the scalar evaluators.
 """
 
 from __future__ import annotations
@@ -317,13 +311,17 @@ def _json_piece(table: SweepTable) -> str:
     return ", ".join(_block_rows(table, "%r", "null", strict_json, _JSON_FRAME, _JSON_ERROR))
 
 
-def _table_format(format: str):
-    """The block formatter, head, separator and tail of a table format."""
+def _table_chunks(size: int, block, format: str) -> Iterator[bytes]:
+    """The encoded text of each block(rows) of a `size`-row table: head first, tail last."""
     if format == "csv":
-        return _csv_piece, ",".join(TABLE_COLUMNS) + "\r\n", "", ""
-    if format == "json":
-        return _json_piece, "[", ", ", "]"
-    raise ValueError(f"unknown table format {format!r} (expected 'csv' or 'json')")
+        piece, head, separator, tail = _csv_piece, ",".join(TABLE_COLUMNS) + "\r\n", "", ""
+    elif format == "json":
+        piece, head, separator, tail = _json_piece, "[", ", ", "]"
+    else:
+        raise ValueError(f"unknown table format {format!r} (expected 'csv' or 'json')")
+    for start in range(0, size, _BLOCK_ROWS):
+        text = (separator if start else head) + piece(block(slice(start, start + _BLOCK_ROWS)))
+        yield (text + tail if start + _BLOCK_ROWS >= size else text).encode("utf-8")
 
 
 def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
@@ -331,30 +329,23 @@ def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
 
     CSV floats carry 17 significant digits, enough to round-trip doubles
     exactly; the JSON form round-trips bit-exactly through json.loads. Only
-    error-row regime cells can need CSV quoting. The rows come from a row
-    template in which a column of one value is formatted once, into the same
-    text as each of its cells. The table is one block, so memory grows with
-    its rows; `sweep_blocks` yields the same bytes in blocks.
+    error-row regime cells can need CSV quoting. It formats the blocks of
+    `sweep_blocks`, each from a row template (see `_block_rows`).
     """
     if not len(rows):
         raise ValueError("emit_table needs at least one row")
-    piece, head, _, tail = _table_format(format)
-    return (head + piece(rows) + tail).encode("utf-8")
+    return b"".join(_table_chunks(len(rows), rows.__getitem__, format))
 
 
 def sweep_blocks(spec: SweepSpec, format: str) -> Iterator[bytes]:
     """The bytes of `emit_table(run_sweep(spec), format)`, one encoded block at a time.
 
-    Each block of the grid is evaluated and formatted only when the one
-    before it has been taken: the head comes with the first block and the
-    tail with the last, so a sweep whose first block raises yields nothing.
+    Each block is evaluated only once the one before it has been taken, so
+    a sweep whose first block raises yields nothing.
     """
-    piece, head, separator, tail = _table_format(format)
     grid = spec.grid()
-    for start in range(0, len(grid), _BLOCK_ROWS):
-        axis = grid[start:start + _BLOCK_ROWS]
-        text = (separator if start else head) + piece(SweepTable(axis, spec.columns(axis)))
-        yield (text + tail if start + _BLOCK_ROWS >= len(grid) else text).encode("utf-8")
+    yield from _table_chunks(
+        len(grid), lambda rows: SweepTable(grid[rows], spec.columns(grid[rows])), format)
 
 
 @dataclass(frozen=True)

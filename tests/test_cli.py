@@ -3,7 +3,6 @@
 import ast
 import contextlib
 import csv
-import ctypes
 import importlib
 import io
 import json
@@ -20,7 +19,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import otto_forge
-from otto_forge import cli
 from otto_forge.cli import main
 from otto_forge.sweeps import TABLE_COLUMNS
 
@@ -437,50 +435,6 @@ def test_module_run_checks_required_flags():
     assert result.stderr.startswith("error: missing required argument(s): --omega1")
 
 
-def bundled_blas(function: str) -> list:
-    """`function` ("get" or "set") of the thread count of each bundled OpenBLAS the console script sets."""
-    found = []
-    for package, prefix, setter in cli._BUNDLED_BLAS:
-        libs = pathlib.Path(__import__(package).__file__).parents[1] / f"{package}.libs"
-        for path in libs.glob(prefix + "*") if libs.is_dir() else ():
-            found.append(getattr(ctypes.CDLL(str(path)), setter.replace("_set_", f"_{function}_")))
-    return found
-
-
-class TestBlasThreads:
-    def test_console_script_sets_one_thread(self, monkeypatch):
-        before = [get() for get in bundled_blas("get")]
-        if not before:
-            pytest.skip("no bundled OpenBLAS in this installation")
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        try:
-            for set_threads in bundled_blas("set"):
-                set_threads(2)
-            cli._one_blas_thread()
-            assert [get() for get in bundled_blas("get")] == [1] * len(before)
-        finally:
-            for set_threads, count in zip(bundled_blas("set"), before):
-                set_threads(count)
-
-    def test_an_explicit_thread_count_is_left_alone(self, monkeypatch):
-        def refuse(path):
-            raise AssertionError(f"loaded {path}")
-
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        monkeypatch.setattr(cli.ctypes, "CDLL", refuse)
-        cli._one_blas_thread()
-
-    @pytest.mark.parametrize("spec", [None, "json"])
-    def test_missing_libraries_are_skipped(self, monkeypatch, spec):
-        # no package, or a package without a bundled-library directory
-        from importlib import util
-
-        found = None if spec is None else util.find_spec(spec)
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        monkeypatch.setattr(cli.util, "find_spec", lambda name: found)
-        cli._one_blas_thread()
-
-
 # |alpha| of this bath is beyond the double range: the sweep fails before its first row
 OVERFLOWING_SWEEP = [
     "sweep", *FIG5, "--bath", "displaced:1.5e308,1.5e308", "--axis", "displacement",
@@ -727,6 +681,38 @@ class TestUsage:
         assert result.returncode == 0, result.stderr
         first, second = result.stdout.splitlines()  # one oracle record before and after
         assert first == second and '"oracle_cutoff"' in first
+
+    def test_only_the_oracle_loads_blas_libraries(self):
+        # the import and `cycle`, `sweep` and `audit` load no OpenBLAS through
+        # ctypes; the oracle's first build looks up both bundled ones itself
+        code = (
+            "import contextlib, ctypes, io, os\n"
+            "loaded = []\n"
+            "class Recording(ctypes.CDLL):\n"
+            "    def __init__(self, name, *args, **kwargs):\n"
+            "        loaded.append(os.path.basename(name))\n"
+            "        super().__init__(name, *args, **kwargs)\n"
+            "ctypes.CDLL = Recording\n"
+            "from otto_forge import cli, fock\n"
+            "point = ['--omega1', '7', '--omega2', '20', '--t1', '2', '--t2', '10',"
+            " '--bath', 'squeezed:0.5']\n"
+            "out = io.TextIOWrapper(io.BytesIO())\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    assert cli.main(['cycle', *point]) == 0\n"
+            "    assert cli.main(['sweep', *point, '--axis', 'frequency-ratio', '--start', '0.1',"
+            " '--stop', '1', '--steps', '5']) == 0\n"
+            "    assert cli.main(['audit', '--samples', '100', '--seed', '1']) == 0\n"
+            "    assert loaded == [], loaded\n"
+            "    assert cli.main(['ergotropy', '--nth', '0.2', '--r', '0.5', '--alpha-re', '1',"
+            " '--omega', '3', '--oracle']) == 0\n"
+            "assert len(loaded) == len(fock._blas_thread_counts()), loaded\n"
+        )
+        src = pathlib.Path(otto_forge.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
 
 
 # CLI fuzz: argv drawn over every command but the oracle (fuzzed below), with

@@ -8,6 +8,7 @@ compared on random states.
 
 import cmath
 import hashlib
+import importlib.util
 import inspect
 import json
 import math
@@ -416,6 +417,19 @@ def digest(array: np.ndarray) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()
 
 
+def fail_on_the_helper(monkeypatch):
+    """Make _bidiagonal_svd raise LapackFailure on the helper thread; returns the real one."""
+    caller, svd = threading.current_thread(), fock._bidiagonal_svd
+
+    def failing_on_the_helper(diag, subdiag):
+        if threading.current_thread() is not caller:
+            raise LapackFailure("LAPACK dbdsdc failed with info 1")
+        return svd(diag, subdiag)
+
+    monkeypatch.setattr(fock, "_bidiagonal_svd", failing_on_the_helper)
+    return svd
+
+
 class TestHelperThread:
     """A displaced squeezed state's build takes the displacement's SVD on a helper thread."""
 
@@ -447,14 +461,7 @@ class TestHelperThread:
         assert w.tobytes() == serial_dressed_columns(state, cutoff).tobytes()
 
     def test_helper_failure_reaches_the_caller(self, monkeypatch, capsys):
-        caller, svd = threading.current_thread(), fock._bidiagonal_svd
-
-        def failing_on_the_helper(diag, subdiag):
-            if threading.current_thread() is not caller:
-                raise LapackFailure("LAPACK dbdsdc failed with info 1")
-            return svd(diag, subdiag)
-
-        monkeypatch.setattr(fock, "_bidiagonal_svd", failing_on_the_helper)
+        svd = fail_on_the_helper(monkeypatch)
         with pytest.raises(LapackFailure, match="info 1"):
             build_fock_density(GaussianModeState(0.3, r=0.4, alpha=1.1), 64, 0.5)
         argv = ["ergotropy", "--nth", "0.2", "--r", "0.5", "--alpha-re", "1", "--omega", "3",
@@ -500,6 +507,122 @@ class TestHelperThread:
         assert result.returncode == 0, result.stderr
         assert not result.stderr
         assert result.stdout.strip() == expected
+
+
+class TestBlasThreads:
+    """The oracle runs each bundled OpenBLAS on one thread and puts its count back after."""
+
+    @pytest.fixture
+    def counts(self):
+        """Both libraries set to 2 threads; reads their thread counts."""
+        found = fock._blas_thread_counts()
+        if not found:
+            pytest.skip("no bundled OpenBLAS in this installation")
+        before = [get() for get, _ in found]
+        for _, put in found:
+            put(2)
+        yield lambda: [get() for get, _ in found]
+        for (_, put), count in zip(found, before):
+            put(count)
+
+    @pytest.fixture
+    def calls(self, monkeypatch, counts):
+        """(routine, on the calling thread, thread counts) of each _bidiagonal_svd and _zherk call."""
+        seen, caller = [], threading.current_thread()
+        for name in ("_bidiagonal_svd", "_zherk"):
+            def recorded(*args, name=name, routine=getattr(fock, name)):
+                seen.append((name, threading.current_thread() is caller, counts()))
+                return routine(*args)
+
+            monkeypatch.setattr(fock, name, recorded)
+        return seen
+
+    def test_the_oracle_runs_on_one_thread(self, counts, calls):
+        density = search_density(GaussianModeState(0.3, r=0.4, alpha=1.1), 1e-9)
+        entropy_fock(density)
+        routines = {(name, here) for name, here, _ in calls}
+        assert routines == {("_bidiagonal_svd", True), ("_bidiagonal_svd", False), ("_zherk", True)}
+        assert {tuple(seen) for *_, seen in calls} == {(1,) * len(counts())}
+        assert counts() == [2] * len(counts())
+
+    def test_counts_return_after_a_refused_build(self, counts, calls):
+        with pytest.raises(CutoffTooSmall):
+            build_fock_density(GaussianModeState(0.3, r=0.4, alpha=1.1), 12, 1e-9)
+        assert calls and {tuple(seen) for *_, seen in calls} == {(1,) * len(counts())}
+        assert counts() == [2] * len(counts())
+
+    def test_counts_return_after_a_helper_failure(self, counts, monkeypatch):
+        fail_on_the_helper(monkeypatch)
+        with pytest.raises(LapackFailure, match="info 1"):
+            build_fock_density(GaussianModeState(0.3, r=0.4, alpha=1.1), 64, 0.5)
+        assert counts() == [2] * len(counts())
+
+    def test_overlapping_scopes_keep_one_thread_until_the_last_exits(self, counts):
+        inside, leave = threading.Event(), threading.Event()
+
+        def other_scope():
+            with fock._ONE_BLAS_THREAD:
+                inside.set()
+                leave.wait(60)
+
+        other = threading.Thread(target=other_scope)
+        with fock._ONE_BLAS_THREAD:
+            other.start()
+            assert inside.wait(60)
+        assert counts() == [1] * len(counts())  # the other scope is still open
+        leave.set()
+        other.join(60)
+        assert counts() == [2] * len(counts())
+
+    @pytest.mark.parametrize("missing", ["package", "directory", "symbol"])
+    def test_missing_libraries_are_skipped(self, monkeypatch, missing):
+        if missing == "symbol":
+            absent = tuple((package, prefix, "no_such_get_num_threads")
+                           for package, prefix, _ in fock._BUNDLED_BLAS)
+            monkeypatch.setattr(fock, "_BUNDLED_BLAS", absent)
+        else:  # no package, or a package without a bundled-library directory
+            found = None if missing == "package" else importlib.util.find_spec("json")
+            monkeypatch.setattr(fock.util, "find_spec", lambda name: found)
+        fock._blas_thread_counts.cache_clear()
+        try:
+            assert fock._blas_thread_counts() == ()
+            with fock._ONE_BLAS_THREAD:
+                pass
+        finally:
+            fock._blas_thread_counts.cache_clear()  # looked up again, unpatched, when next needed
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_builds_while_another_thread_holds_the_lock(self):
+        # the child has its parent's lock as it was at the fork, held by a
+        # thread that the child does not have; a build that waited on it
+        # would hang until the alarm ends the child
+        result = run_fresh("""
+            import os, signal, threading, warnings
+            from otto_forge import GaussianModeState, build_fock_density, fock
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+            state = GaussianModeState(0.3, r=0.4, alpha=1.1)
+            factor = build_fock_density(state, 64, 0.5).factor.tobytes()
+            held, release = threading.Event(), threading.Event()
+
+            def hold():
+                with fock._ONE_BLAS_THREAD.lock:
+                    held.set()
+                    release.wait(60)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            held.wait(60)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)
+                os._exit(0 if build_fock_density(state, 64, 0.5).factor.tobytes() == factor else 1)
+            release.set()
+            holder.join()
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0, status
+        """)
+        assert result.returncode == 0, result.stderr
+        assert not result.stderr
 
 
 class TestErgotropyOracle:
