@@ -22,8 +22,9 @@ once from W's squared row norms, and the spectrum from its sorted squared
 column norms, padded with zeros: the Gram matrix W^dag W's diagonal,
 certified to its off-diagonal Frobenius norm by Weyl's inequality. No N x N
 matrix is formed unless `FockDensity.matrix` is read. dbdsdc and BLAS zherk
-(for W^dag W) are bound with ctypes from scipy's Cython tables, loaded from
-their files: the oracle never imports the scipy.linalg package.
+(for W^dag W) are bound with ctypes from the OpenBLAS that numpy bundles and
+has loaded, or where it bundles none, from scipy's Cython tables, loaded
+from their files: the oracle never imports the scipy.linalg package.
 
 One numerical subtlety governs the guards: because the truncated dressing
 is unitary at any cutoff, the trace of the built state stays near one even
@@ -41,11 +42,13 @@ A squeezed and displaced state is built on two threads: a daemon helper, one
 per process and started on first use, takes the displacement's SVD while the
 caller applies the squeeze, each LAPACK and BLAS call being the serial one.
 The build's peak is then the squeeze stage's plus the displacement's U, V^T
-and dbdsdc workspace, 5 (N/2)^2 doubles, not the larger of the two. Every
-build and spectrum runs numpy's and scipy's bundled OpenBLAS on one thread
-and puts their counts back after, as threaded products round differently:
-meanwhile other threads' BLAS calls in the process run single-threaded too,
-and OPENBLAS_NUM_THREADS changes neither the oracle's threads nor its bytes.
+and dbdsdc workspace, 5 (N/2)^2 doubles, not the larger of the two. The
+helper moves off the caller's CPU at each handoff: a kernel that does not
+balance the CPUs would leave both on one. Every build and spectrum runs each
+OpenBLAS that the oracle calls on one thread and puts its count back after,
+as threaded products round differently: meanwhile other threads' BLAS calls
+in the process run single-threaded too, and OPENBLAS_NUM_THREADS changes
+neither the oracle's threads nor its bytes.
 
 A dressing needs levels for its generator to act on: the squeeze generator
 is empty below 3 levels and the displacement one below 2. A build there
@@ -55,6 +58,7 @@ refuses it outright, as if all of the mass were unresolved.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import os
@@ -63,6 +67,7 @@ import threading
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from importlib import machinery, util
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -184,9 +189,6 @@ def _real_times_complex(real: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (real @ z.view(np.float64)).view(complex)
 
 
-_CYTHON_LOAD = threading.Lock()  # @cache lets two first calls in; a Cython module initialises once
-
-
 @cache
 def _cython_capi(table: str) -> dict:
     """The __pyx_capi__ of scipy.linalg.`table`, loaded from its file, not via the scipy.linalg package."""
@@ -205,37 +207,85 @@ def _cython_capi(table: str) -> dict:
     return module.__pyx_capi__
 
 
-@cache
-def _cython_routine(table: str, name: str, *argtypes) -> ctypes._CFuncPtr:
+def _cython_routine(table: str, name: str, argtypes: tuple) -> ctypes._CFuncPtr:
     """BLAS or LAPACK `name`, bound from the __pyx_capi__ of scipy.linalg.`table`."""
-    with _CYTHON_LOAD:
-        capsule = _cython_capi(table)[name]
-    obj, api = ctypes.py_object, ctypes.pythonapi
+    capsule, obj, api = _cython_capi(table)[name], ctypes.py_object, ctypes.pythonapi
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))(capsule)
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, ctypes.c_char_p)
     address = pointer(("PyCapsule_GetPointer", api))(capsule, name)
     return ctypes.CFUNCTYPE(None, *argtypes)(address)
 
 
+_BUNDLED_BLAS = {  # each bundled OpenBLAS: its file name prefix and thread-count getter
+    "numpy": ("libscipy_openblas64_", "scipy_openblas_get_num_threads64_"),
+    "scipy": ("libscipy_openblas-", "scipy_openblas_get_num_threads"),
+}
+
+
 @cache
-def _dbdsdc() -> ctypes._CFuncPtr:
-    """LAPACK's dbdsdc (bidiagonal SVD)."""
-    p, i, c = np.ctypeslib.ndpointer, ctypes.POINTER(ctypes.c_int), ctypes.c_char_p
-    v, m, q = p(float, 1, flags="C"), p(float, 2, flags="F"), ctypes.c_void_p
-    # uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq (both unread for compq "I"), work, iwork, info
-    args = c, c, i, v, v, m, i, m, i, q, q, v, p(np.intc, 1, flags="C"), i
-    return _cython_routine("cython_lapack", "dbdsdc", *args)
+def _bundled_blas(package: str) -> ctypes.CDLL | None:
+    """`package`'s bundled OpenBLAS, opened only where the process has loaded it; else None."""
+    spec = util.find_spec(package)
+    top = spec.submodule_search_locations if spec else None
+    libs = os.path.join(os.path.dirname(top[0]), f"{package}.libs") if top else ""
+    for name in os.listdir(libs) if os.path.isdir(libs) else ():
+        if name.startswith(_BUNDLED_BLAS[package][0]):
+            with contextlib.suppress(OSError):  # the file the package loaded; a new load fails
+                return ctypes.CDLL(os.path.join(libs, name), getattr(os, "RTLD_NOLOAD", 0))
+    return None
+
+
+def _routine(name: str, lib: ctypes.CDLL | None):
+    """BLAS zherk or LAPACK dbdsdc from numpy's OpenBLAS `lib`, or from scipy's tables for None."""
+    integer = ctypes.c_int if lib is None else ctypes.c_int64
+    p, i, c = np.ctypeslib.ndpointer, ctypes.POINTER(integer), ctypes.c_char_p
+    if name == "zherk":  # uplo, trans, n, k, alpha, a, lda, beta, c, ldc
+        x = ctypes.POINTER(ctypes.c_double)
+        args = c, c, i, i, x, p(complex, 2, flags="C"), i, x, p(complex, 2, flags="F"), i
+    else:  # uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq (unread for compq "I"), work, iwork, info
+        v, m, q = p(float, 1, flags="C"), p(float, 2, flags="F"), ctypes.c_void_p
+        args = c, c, i, v, v, m, i, m, i, q, q, v, p(integer, 1, flags="C"), i
+    if lib is None:
+        return _cython_routine("cython_blas" if name == "zherk" else "cython_lapack", name, args)
+    # numpy's takes gfortran's lengths of the two character arguments after its last one
+    routine = ctypes.CFUNCTYPE(None, *args, ctypes.c_size_t, ctypes.c_size_t)
+    routine = routine((f"scipy_{name}_64_", lib))
+    return lambda *args: routine(*args, 1, 1)
+
+
+class _Blas(NamedTuple):
+    """The oracle's dbdsdc and zherk, and the thread counts of each OpenBLAS that it calls."""
+
+    integer: type  # of both routines' integer arguments and of dbdsdc's iwork
+    dbdsdc: Callable[..., None]
+    zherk: Callable[..., None]
+    threads: tuple[tuple[ctypes._CFuncPtr, ctypes._CFuncPtr], ...]  # (getter, setter)
+
+
+@cache
+def _blas() -> _Blas:
+    """dbdsdc and zherk from numpy's bundled OpenBLAS, or from scipy's Cython tables without it.
+
+    First called as a _OneBlasThread scope opens, under its lock, so a Cython module loads once.
+    """
+    lib = _bundled_blas("numpy")
+    lib = lib if all(hasattr(lib, f"scipy_{name}_64_") for name in ("dbdsdc", "zherk")) else None
+    routines, threads = (_routine("dbdsdc", lib), _routine("zherk", lib)), []
+    for package in ("numpy", "scipy") if lib is None else ("numpy",):  # scipy's is loaded by now
+        blas, getter = _bundled_blas(package), _BUNDLED_BLAS[package][1]
+        if hasattr(blas, getter):
+            get, put = getattr(blas, getter), getattr(blas, getter.replace("_get_", "_set_"))
+            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+            threads.append((get, put))
+    return _Blas(ctypes.c_int if lib is None else ctypes.c_int64, *routines, tuple(threads))
 
 
 def _zherk(w: np.ndarray) -> np.ndarray:
     """zherk(1.0, w.T) of scipy.linalg.blas: conj(W^dag W)'s upper triangle, the lower one 0."""
-    p, i, x = np.ctypeslib.ndpointer, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-    # uplo, trans, n, k, alpha, a, lda, beta, c, ldc; a = W^T, the K x N Fortran array on W's bytes
-    zherk = _cython_routine("cython_blas", "zherk", ctypes.c_char_p, ctypes.c_char_p, i, i, x,
-                            p(complex, 2, flags="C"), i, x, p(complex, 2, flags="F"), i)
-    gram, (k, n) = np.zeros((w.shape[1],) * 2, complex, order="F"), map(ctypes.c_int, w.shape)
-    a = np.ascontiguousarray(w, dtype=complex)
-    zherk(b"U", b"N", n, k, ctypes.c_double(1.0), a, n, ctypes.c_double(0.0), gram, n)
+    blas = _blas()
+    gram, (k, n) = np.zeros((w.shape[1],) * 2, complex, order="F"), map(blas.integer, w.shape)
+    a = np.ascontiguousarray(w, dtype=complex)  # W^T: the K x N Fortran array on W's bytes
+    blas.zherk(b"U", b"N", n, k, ctypes.c_double(1.0), a, n, ctypes.c_double(0.0), gram, n)
     return gram
 
 
@@ -245,9 +295,10 @@ def _bidiagonal_svd(diag: np.ndarray, subdiag: np.ndarray) -> tuple[np.ndarray, 
     # dbdsdc overwrites both; e gets one spare entry, so that it is never empty
     s, e = np.array(diag, dtype=float), np.append(subdiag, 0.0)
     u, vt = np.empty((n, n), order="F"), np.empty((n, n), order="F")
-    size, info = ctypes.c_int(n), ctypes.c_int()
-    work, iwork = np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=np.intc)
-    _dbdsdc()(b"L", b"I", size, s, e, u, size, vt, size, None, None, work, iwork, info)
+    blas = _blas()
+    size, info = blas.integer(n), blas.integer()
+    work, iwork = np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=blas.integer)
+    blas.dbdsdc(b"L", b"I", size, s, e, u, size, vt, size, None, None, work, iwork, info)
     if info.value:
         raise LapackFailure(f"LAPACK dbdsdc failed with info {info.value}")
     return u, s, vt
@@ -259,11 +310,16 @@ class _Helper:
     def __init__(self) -> None:  # run again in a forked child, which has no helper thread
         self.lock, self.go, self.job = threading.Lock(), threading.Semaphore(0), None
         self.thread = threading.Thread(target=self._serve, name="otto-forge-helper", daemon=True)
+        self.cpus = None  # the CPUs the helper last bound itself to
 
     def _serve(self) -> None:
         while self.go.acquire():
-            call, out, done = self.job
+            call, out, done, cpus = self.job
             try:
+                if cpus is not None and cpus != self.cpus:  # the thread's own affinity
+                    self.cpus = cpus
+                    with contextlib.suppress(OSError):  # a hint: refused, it changes no result
+                        os.sched_setaffinity(0, cpus)
                 out.append(call())
             except BaseException as exc:  # the waiting caller raises it
                 out.append(exc)
@@ -272,10 +328,14 @@ class _Helper:
     def beside(self, call, work):
         """call() on the helper while work() runs here; once both end, call's result or error."""
         out, done = [], threading.Event()
+        try:  # the CPUs this thread may use less the one it is on, where there are any
+            cpus = os.sched_getaffinity(0) - {ctypes.pythonapi.sched_getcpu()} or None
+        except AttributeError:  # no affinity API, or no sched_getcpu in the C library
+            cpus = None
         with self.lock:
             if not self.thread.is_alive():
                 self.thread.start()
-            self.job = call, out, done
+            self.job = call, out, done, cpus
             self.go.release()
             try:
                 work()
@@ -287,34 +347,8 @@ class _Helper:
         return result
 
 
-_BUNDLED_BLAS = (  # each bundled OpenBLAS: its package, file name prefix and thread-count getter
-    ("numpy", "libscipy_openblas64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy", "libscipy_openblas-", "scipy_openblas_get_num_threads"),
-)
-
-
-@cache
-def _blas_thread_counts() -> tuple[tuple[ctypes._CFuncPtr, ctypes._CFuncPtr], ...]:
-    """The thread-count getter and setter of each bundled OpenBLAS; a missing one is skipped."""
-    found = []
-    for package, prefix, getter in _BUNDLED_BLAS:
-        spec = util.find_spec(package)
-        top = spec.submodule_search_locations if spec else None
-        libs = os.path.join(os.path.dirname(top[0]), f"{package}.libs") if top else ""
-        names = [n for n in os.listdir(libs) if n.startswith(prefix)] if os.path.isdir(libs) else []
-        for name in names:
-            try:
-                lib = ctypes.CDLL(os.path.join(libs, name))
-                get, put = getattr(lib, getter), getattr(lib, getter.replace("_get_", "_set_"))
-            except (OSError, AttributeError):
-                continue
-            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
-            found.append((get, put))
-    return tuple(found)
-
-
 class _OneBlasThread:
-    """A scope with every bundled OpenBLAS on one thread, process-wide, until the last one exits."""
+    """A scope: each OpenBLAS the oracle calls on one thread, process-wide, until the last exits."""
 
     def __init__(self) -> None:  # run again in a forked child, where the lock may be held
         self.lock, self.depth, self.saved = threading.Lock(), 0, ()
@@ -322,7 +356,7 @@ class _OneBlasThread:
     def __enter__(self) -> None:
         with self.lock:
             if not self.depth:
-                self.saved = tuple((put, get()) for get, put in _blas_thread_counts())
+                self.saved = tuple((put, get()) for get, put in _blas().threads)
                 for put, _ in self.saved:
                     put(1)
             self.depth += 1

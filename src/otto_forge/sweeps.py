@@ -33,6 +33,7 @@ samples, is byte-identical to one built row by row with the scalar evaluators.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
@@ -334,7 +335,9 @@ def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
     """
     if not len(rows):
         raise ValueError("emit_table needs at least one row")
-    return b"".join(_table_chunks(len(rows), rows.__getitem__, format))
+    out = io.BytesIO()  # one growing buffer: a join would hold every chunk beside its result
+    out.writelines(_table_chunks(len(rows), rows.__getitem__, format))
+    return out.getvalue()
 
 
 def sweep_blocks(spec: SweepSpec, format: str) -> Iterator[bytes]:

@@ -7,6 +7,8 @@ compared on random states.
 """
 
 import cmath
+import contextlib
+import ctypes
 import hashlib
 import importlib.util
 import inspect
@@ -252,7 +254,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("layout", ["complex", "real", "strided", "one column"])
     def test_zherk_binding_matches_scipy_blas(self, layout):
-        # the table-bound zherk gives scipy.linalg.blas.zherk(1.0, w.T)'s bytes
+        # the bound zherk gives scipy.linalg.blas.zherk(1.0, w.T)'s bytes
         from scipy.linalg.blas import zherk
 
         rng = np.random.default_rng(3)
@@ -273,7 +275,7 @@ class TestConstruction:
 
     def test_first_builds_in_two_threads(self):
         # two threads that start a fresh interpreter's first builds at once
-        # both load the Cython tables, and build the same factor
+        # bind the routines, and build the same factor
         result = run_fresh("""
             import threading
             from otto_forge import GaussianModeState, build_fock_density
@@ -417,6 +419,34 @@ def digest(array: np.ndarray) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()
 
 
+@contextlib.contextmanager
+def scipy_tables():
+    """The oracle's dbdsdc and zherk bound from scipy's Cython tables, numpy's OpenBLAS hidden.
+
+    The lookup no longer finds numpy's library, so the oracle's scope leaves
+    its thread count alone; it is held at one thread here instead.
+    """
+    bundled = fock._bundled_blas
+    numpy_threads = fock._blas().threads if bundled("numpy") is not None else ()
+    counts = [get() for get, _ in numpy_threads]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "_bundled_blas", lambda package: None if package == "numpy" else bundled(package))
+        fock._blas.cache_clear()
+        for _, put in numpy_threads:
+            put(1)
+        try:
+            yield
+        finally:
+            fock._blas.cache_clear()  # bound again, unpatched, when next needed
+            for (_, put), count in zip(numpy_threads, counts):
+                put(count)
+
+
+needs_numpy_blas = pytest.mark.skipif(
+    fock._bundled_blas("numpy") is None, reason="numpy bundles no OpenBLAS in this installation"
+)
+
+
 def fail_on_the_helper(monkeypatch):
     """Make _bidiagonal_svd raise LapackFailure on the helper thread; returns the real one."""
     caller, svd = threading.current_thread(), fock._bidiagonal_svd
@@ -494,8 +524,20 @@ class TestHelperThread:
         assert result.returncode == 0, result.stderr
         assert not result.stderr
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+        or not hasattr(ctypes.pythonapi, "sched_getcpu"),
+        reason="needs two allowed CPUs and the affinity API",
+    )
+    def test_helper_runs_off_the_callers_cpu(self):
+        build_fock_density(GaussianModeState(0.3, r=0.4, alpha=1.1), 64, 0.5)
+        allowed = os.sched_getaffinity(0)
+        helper = os.sched_getaffinity(fock._HELPER.thread.native_id)
+        assert helper and helper < allowed, (helper, allowed)
+
     def test_first_build_binds_the_svd_on_both_threads(self):
-        # both threads' first SVD binds dbdsdc at once, in a fresh interpreter
+        # a fresh interpreter's first build binds dbdsdc as its scope opens,
+        # then runs it on both threads
         state, cutoff = self.STATES[2][:2]
         expected = digest(serial_dressed_columns(state, cutoff))
         result = run_fresh(f"""
@@ -510,12 +552,12 @@ class TestHelperThread:
 
 
 class TestBlasThreads:
-    """The oracle runs each bundled OpenBLAS on one thread and puts its count back after."""
+    """The oracle runs each OpenBLAS that it calls on one thread and puts its count back after."""
 
     @pytest.fixture
     def counts(self):
-        """Both libraries set to 2 threads; reads their thread counts."""
-        found = fock._blas_thread_counts()
+        """Each such library set to 2 threads; reads their thread counts."""
+        found = fock._blas().threads
         if not found:
             pytest.skip("no bundled OpenBLAS in this installation")
         before = [get() for get, _ in found]
@@ -577,19 +619,21 @@ class TestBlasThreads:
     @pytest.mark.parametrize("missing", ["package", "directory", "symbol"])
     def test_missing_libraries_are_skipped(self, monkeypatch, missing):
         if missing == "symbol":
-            absent = tuple((package, prefix, "no_such_get_num_threads")
-                           for package, prefix, _ in fock._BUNDLED_BLAS)
-            monkeypatch.setattr(fock, "_BUNDLED_BLAS", absent)
+            for package, (prefix, _) in list(fock._BUNDLED_BLAS.items()):
+                monkeypatch.setitem(fock._BUNDLED_BLAS, package, (prefix, "no_such_get_num_threads"))
         else:  # no package, or a package without a bundled-library directory
             found = None if missing == "package" else importlib.util.find_spec("json")
-            monkeypatch.setattr(fock.util, "find_spec", lambda name: found)
-        fock._blas_thread_counts.cache_clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(fock.util, "find_spec", lambda name: found)
+                assert [fock._bundled_blas.__wrapped__(p) for p in fock._BUNDLED_BLAS] == [None, None]
+            # with no library found, the oracle binds scipy's tables
+            monkeypatch.setattr(fock, "_bundled_blas", lambda package: None)
+        fock._blas.cache_clear()
         try:
-            assert fock._blas_thread_counts() == ()
             with fock._ONE_BLAS_THREAD:
-                pass
+                assert fock._blas().threads == ()
         finally:
-            fock._blas_thread_counts.cache_clear()  # looked up again, unpatched, when next needed
+            fock._blas.cache_clear()  # bound again, unpatched, when next needed
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_builds_while_another_thread_holds_the_lock(self):
@@ -620,6 +664,93 @@ class TestBlasThreads:
             holder.join()
             _, status = os.waitpid(pid, 0)
             assert os.waitstatus_to_exitcode(status) == 0, status
+        """)
+        assert result.returncode == 0, result.stderr
+        assert not result.stderr
+
+
+class TestBindingSources:
+    """dbdsdc and zherk from numpy's bundled OpenBLAS and from scipy's Cython tables agree."""
+
+    @needs_numpy_blas
+    @pytest.mark.parametrize("state, tail_tol", [
+        *((state, tol) for state, tol, _ in FROZEN_CUTOFFS[:9]),  # perfbench's oracle states
+        (GaussianModeState(20, r=0.1), 1e-9),  # K = N: every level kept
+    ])
+    def test_both_sources_give_the_same_bytes(self, state, tail_tol):
+        def outcome():
+            density = search_density(state, tail_tol)
+            return density.dim, digest(density.factor), digest(density.eigenvalues)
+
+        assert fock._blas().integer is ctypes.c_int64
+        numpy_outcome = outcome()
+        with scipy_tables():
+            assert fock._blas().integer is ctypes.c_int
+            assert numpy_outcome == outcome()
+
+    @needs_numpy_blas
+    def test_numpy_binding_needs_no_scipy(self, monkeypatch):
+        monkeypatch.setattr(fock.util, "find_spec", lambda name: None)
+        monkeypatch.setattr(fock, "_cython_capi", fock._cython_capi.__wrapped__)
+        blas = fock._blas.__wrapped__()
+        assert blas.integer is ctypes.c_int64 and len(blas.threads) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "RTLD_NOLOAD") or not os.path.exists("/proc/self/maps"),
+                        reason="needs dlopen's RTLD_NOLOAD and /proc/self/maps")
+    def test_lookup_loads_no_library(self):
+        # scipy's OpenBLAS is on disk but not loaded: the lookup finds none
+        # and leaves it unloaded, and numpy's, already loaded, is mapped once
+        result = run_fresh("""
+            from otto_forge import fock
+            assert fock._bundled_blas("scipy") is None
+            maps = {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line}
+            assert not any("libscipy_openblas-" in path for path in maps), maps
+        """)
+        assert result.returncode == 0, result.stderr
+
+
+class TestScipyTables:
+    """The Cython-table binding, with numpy's OpenBLAS hidden from the lookup."""
+
+    @pytest.fixture(autouse=True)
+    def tables(self):
+        with scipy_tables():
+            yield
+
+    test_zherk_binding_matches_scipy_blas = TestConstruction.test_zherk_binding_matches_scipy_blas
+    test_missing_scipy_is_module_not_found = TestConstruction.test_missing_scipy_is_module_not_found
+
+    def test_missing_scipy_fails_the_binding(self, monkeypatch):
+        # the tables are loaded from scipy's files; without scipy, binding
+        # them fails as `import scipy` would
+        for table in ("cython_blas", "cython_lapack"):
+            monkeypatch.delitem(sys.modules, f"scipy.linalg.{table}", raising=False)
+        monkeypatch.setattr(fock.util, "find_spec", lambda name: None)
+        monkeypatch.setattr(fock, "_cython_capi", fock._cython_capi.__wrapped__)
+        with pytest.raises(ModuleNotFoundError):
+            fock._blas.__wrapped__()
+
+    def test_first_builds_in_two_threads(self):
+        # two threads that start a fresh interpreter's first builds at once
+        # load each Cython table once, and build the same factor
+        result = run_fresh("""
+            import ctypes, threading
+            from otto_forge import GaussianModeState, build_fock_density, fock
+            bundled = fock._bundled_blas
+            fock._bundled_blas = lambda package: None if package == "numpy" else bundled(package)
+            state = GaussianModeState(0.3, r=0.4, alpha=1.1)
+            barrier, factors = threading.Barrier(2), [None, None]
+            def build(i):
+                barrier.wait()
+                factors[i] = build_fock_density(state, 64, 0.5).factor.tobytes()
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert factors[0] is not None and factors[0] == factors[1]
+            assert fock._blas().integer is ctypes.c_int
         """)
         assert result.returncode == 0, result.stderr
         assert not result.stderr

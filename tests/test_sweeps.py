@@ -6,6 +6,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,6 +398,20 @@ class TestEmitTable:
         assert lines[-1] == ""  # trailing CRLF
         assert len(lines) == 3
         assert lines[0] == ",".join(TABLE_COLUMNS)
+
+    def test_output_is_held_once(self):
+        # the fig2 regime map at 10^5 rows: the blocks are written into one
+        # buffer, not held as a list of chunks beside their joined copy
+        spec = SweepSpec(FIG5_BASE, SweepAxis.FREQUENCY_RATIO, 1e-4, 1.0, 100_000,
+                         CycleKind.STANDARD)
+        table = run_sweep(spec)
+        tracemalloc.start()
+        try:
+            payload = emit_table(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * len(payload)
 
     def test_csv_is_deterministic(self):
         spec = fig5_delta_n_spec(steps=21)
