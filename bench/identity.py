@@ -8,7 +8,10 @@ given. Each tree's commands run in-process through `otto_forge.cli.main`,
 in one subprocess per tree (the two at once, each with one BLAS thread).
 For every command it compares the exit code, the SHA-256 of stdout and
 stderr, and prints the commands that differ; for a JSON object on stdout
-it also names the fields that differ. For each `ergotropy --oracle` that
+it also names the fields that differ. Where two or more CPUs are allowed,
+it then runs the working tree's corpus once more pinned to one CPU, where
+a sweep forks no child, and prints the commands whose results differ from
+the first run of the working tree. For each `ergotropy --oracle` that
 exits 0 it also compares the SHA-256 of the search density's factor and
 spectrum bytes, which show round-off that the printed digits hide; a tree
 without `search_density` or `FockDensity.factor` records neither. Exit
@@ -18,8 +21,8 @@ The corpus:
 - 5 bases x 7 baths x 2 cycles, each as one `cycle` and as sweeps over
   the 5 axes in CSV and JSON at 257 steps;
 - failure-heavy sweeps of 5000 rows (more than one 4096-row block), two
-  of them failing on every row, and a 12289-row sweep whose first block
-  holds one value in every column;
+  of them failing on every row, a 12289-row sweep whose first block
+  holds one value in every column, and a 10^5-row sweep of 25 blocks;
 - each audit family at 1, 2049 and 5000 samples and two seeds, plus
   audits that are usage errors;
 - `ergotropy` on perfbench's nine oracle states, on the heavy state
@@ -79,6 +82,9 @@ BLOCK_SWEEPS = (
     # one value there; in the second block the axis steps to the next double
     (BASES[0], "squeezed:0.5", "standard", "cold-temperature", "1", "1.0000000000000002",
      "12289"),
+    # 25 blocks, an odd count: the table ends on a block of the parent process
+    # where a forked child encodes the odd ones
+    (BASES[1], "squeezed:0.5", "modified", "frequency-ratio", "0.01", "1", "100000"),
 )
 # perfbench's oracle states (n_th, r, alpha), cutoffs 52 to 747, then edge states;
 # the last is displaced and keeps every level (627 levels, K = N)
@@ -188,8 +194,9 @@ def _tree(rev: str | None, scratch: str) -> str:
     return os.path.join(dest, "src")
 
 
-def _start(src: str) -> subprocess.Popen:
-    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); "
+def _start(src: str, one_cpu: bool = False) -> subprocess.Popen:
+    pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " if one_cpu else ""
+    code = (f"import os, sys; {pin}sys.path.insert(0, {str(ROOT / 'bench')!r}); "
             f"import identity; identity.run_corpus({src!r})")
     # one BLAS thread: the oracle sets it itself, but older trees follow the
     # host's thread count, and their bytes can only be compared with it pinned
@@ -225,15 +232,20 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         procs = [_start(_tree(rev, scratch)) for rev in revs]
         outputs = [proc.communicate()[0] for proc in procs]
+    # the working tree once more on one CPU, where a sweep forks no child
+    if hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) > 1:
+        procs.append(_start(_tree(None, ""), one_cpu=True))
+        names.append("working tree on one CPU")
+        outputs.append(procs[-1].communicate()[0])
     elapsed = time.perf_counter() - start
     for name, proc in zip(names, procs):
         if proc.returncode != 0:
             print(f"{name}: the corpus run failed (exit {proc.returncode})", file=sys.stderr)
             return 2
     commands = corpus()
-    a_results, b_results = ([json.loads(line) for line in out.splitlines()] for out in outputs)
+    results = [[json.loads(line) for line in out.splitlines()] for out in outputs]
     differ = densities = density_differ = 0
-    for argv_, a, b in zip(commands, a_results, b_results):
+    for argv_, a, b in zip(commands, results[0], results[1]):
         lines = _differences(a, b)
         densities += "factor" in a and "factor" in b
         density_differ += any(line.startswith(("factor", "spectrum")) for line in lines)
@@ -245,6 +257,15 @@ def main(argv: list[str]) -> int:
     print(f"{names[0]} against {names[1]}: {len(commands)} commands, {differ} differ, "
           f"{elapsed:.1f} s; factor and spectrum digests of {densities} oracle densities, "
           f"{density_differ} differ")
+    if len(results) == 3:
+        pinned = [argv_ for argv_, a, b in zip(commands, results[1], results[2])
+                  if _differences(a, b)]
+        for argv_ in pinned:
+            print(f"otto-forge {' '.join(argv_)}\n    differs on one CPU")
+        print(f"{names[2]} against {names[1]}: {len(commands)} commands, {len(pinned)} differ")
+        differ += len(pinned)
+    else:
+        print("one CPU allowed: no second run pinned to one CPU")
     return 1 if differ else 0
 
 

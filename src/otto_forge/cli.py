@@ -19,6 +19,7 @@ underneath, such as `io.TextIOWrapper(io.BytesIO())`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -207,9 +208,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         steps=args.steps,
         cycle_kind=CycleKind(args.cycle),
     )
-    blocks = sweep_blocks(spec, args.format)
-    first = next(blocks)  # evaluated before the output opens: a sweep that fails writes nothing
-    _write(itertools.chain((first,), blocks), args.out)
+    with contextlib.closing(sweep_blocks(spec, args.format)) as blocks:  # and reaps its child
+        first = next(blocks)  # evaluated before the output opens: a sweep that fails writes nothing
+        _write(itertools.chain((first,), blocks), args.out)
     return 0
 
 

@@ -304,6 +304,14 @@ def _bidiagonal_svd(diag: np.ndarray, subdiag: np.ndarray) -> tuple[np.ndarray, 
     return u, s, vt
 
 
+def _cpus_beside() -> set[int] | None:
+    """The CPUs this thread may use less the one it is on, or None where there are none."""
+    try:
+        return os.sched_getaffinity(0) - {ctypes.pythonapi.sched_getcpu()} or None
+    except AttributeError:  # no affinity API, or no sched_getcpu in the C library
+        return None
+
+
 class _Helper:
     """A daemon thread, started on first use, that makes one call at a time for a waiting caller."""
 
@@ -327,11 +335,7 @@ class _Helper:
 
     def beside(self, call, work):
         """call() on the helper while work() runs here; once both end, call's result or error."""
-        out, done = [], threading.Event()
-        try:  # the CPUs this thread may use less the one it is on, where there are any
-            cpus = os.sched_getaffinity(0) - {ctypes.pythonapi.sched_getcpu()} or None
-        except AttributeError:  # no affinity API, or no sched_getcpu in the C library
-            cpus = None
+        out, done, cpus = [], threading.Event(), _cpus_beside()
         with self.lock:
             if not self.thread.is_alive():
                 self.thread.start()

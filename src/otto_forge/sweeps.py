@@ -12,8 +12,10 @@ directly, while for squeezed or displaced baths the bath parameter (r or
 the axis value. That makes efficiency-versus-excess sweeps bath-agnostic.
 
 Sweeps and audits run on columns. `sweep_blocks` cuts a sweep's grid into
-blocks of 4096 rows and yields each block's CSV or JSON bytes before it
-evaluates the next, so its memory does not grow with the steps: for each block
+blocks of 4096 rows, evaluates the odd ones of a table of 6144 rows or more in
+a forked child where a second CPU is free, and yields each block's CSV or JSON
+bytes before it evaluates the next but one, so its memory does not grow with
+the steps: for each block
 it builds the omega1, T1 and delta_n columns of its axis, makes one call of
 the ledger kernel, `cycles.ledger_columns`, and formats the rows through a row
 template built from what the block holds. A column of one value in the block
@@ -33,9 +35,14 @@ samples, is byte-identical to one built row by row with the scalar evaluators.
 from __future__ import annotations
 
 import functools
+import gc
 import io
 import json
 import math
+import os
+import signal
+import threading
+import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -43,6 +50,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotApplicable
+from .fock import _cpus_beside
 from .cycles import (
     INEQUALITY_TOL,
     CycleConfig,
@@ -257,6 +265,9 @@ _JSON_ERROR = _JSON_FRAME % tuple({"axis": "%r", "regime": "%s"}.get(c, "null") 
 
 # Rows evaluated, formatted and written at a time: bounds a sweep's memory.
 _BLOCK_ROWS = 4096
+# The fewest rows whose odd blocks a forked child encodes: below them the parent's
+# copy-on-write faults after the fork cost more than the child's rows save.
+_FORK_ROWS = 3 * _BLOCK_ROWS // 2
 
 
 def _block_rows(table: SweepTable, number_format: str, null: str, text_cell, frame: str,
@@ -313,16 +324,68 @@ def _json_piece(table: SweepTable) -> str:
 
 
 def _table_chunks(size: int, block, format: str) -> Iterator[bytes]:
-    """The encoded text of each block(rows) of a `size`-row table: head first, tail last."""
+    """The encoded text of each block(rows) of a `size`-row table: head first, tail last.
+
+    In a table of `_FORK_ROWS` or more, a child from `_fork_encoder` encodes the odd blocks
+    where one can start. Once it stops, for any reason, they are encoded here: the bytes
+    and raises are the serial ones.
+    """
     if format == "csv":
         piece, head, separator, tail = _csv_piece, ",".join(TABLE_COLUMNS) + "\r\n", "", ""
     elif format == "json":
         piece, head, separator, tail = _json_piece, "[", ", ", "]"
     else:
         raise ValueError(f"unknown table format {format!r} (expected 'csv' or 'json')")
-    for start in range(0, size, _BLOCK_ROWS):
+
+    def encode(start: int) -> bytes:
         text = (separator if start else head) + piece(block(slice(start, start + _BLOCK_ROWS)))
-        yield (text + tail if start + _BLOCK_ROWS >= size else text).encode("utf-8")
+        return (text + tail if start + _BLOCK_ROWS >= size else text).encode("utf-8")
+
+    starts = range(0, size, _BLOCK_ROWS)
+    pid, pipe = _fork_encoder(starts[1::2], encode) if size >= _FORK_ROWS else (0, None)
+    try:
+        for i, start in enumerate(starts):
+            yield (_received(pipe) if i % 2 and pid else b"") or encode(start)
+    finally:  # the end of the table, a raise or close(): no child outlives it
+        if pid:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_encoder(starts: range, encode) -> tuple[int, io.BufferedReader | None]:
+    """(pid, pipe): a forked child on the CPUs beside this one sends each encode(start) of
+    `starts` after its 8-byte length, one chunk ahead at most (the pipe fills). (0, None)
+    without `os.fork` or a second CPU, or beside another Python thread.
+    """
+    cpus = _cpus_beside() if hasattr(os, "fork") and threading.active_count() == 1 else None
+    if not cpus:
+        return 0, None
+    read, write = os.pipe()
+    with warnings.catch_warnings():  # Python 3.12 warns of BLAS threads, which the child never uses
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # any failure, a broken pipe too, ends the child quietly
+        try:
+            gc.freeze()  # the parent's garbage is the parent's to finalise
+            os.close(read)
+            os.sched_setaffinity(0, cpus)
+            with open(write, "wb") as out:
+                for chunk in map(encode, starts):
+                    out.write(len(chunk).to_bytes(8, "little") + chunk)
+                    out.flush()
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _received(pipe: io.BufferedReader) -> bytes:
+    """The child's next chunk from `pipe`, or b"" once the child has stopped."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little") if len(head) == 8 else 0
+    chunk = pipe.read(size)
+    return chunk if len(chunk) == size else b""
 
 
 def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
@@ -343,8 +406,9 @@ def emit_table(rows: SweepTable, format: str = "csv") -> bytes:
 def sweep_blocks(spec: SweepSpec, format: str) -> Iterator[bytes]:
     """The bytes of `emit_table(run_sweep(spec), format)`, one encoded block at a time.
 
-    Each block is evaluated only once the one before it has been taken, so
-    a sweep whose first block raises yields nothing.
+    Each even block is evaluated only once the one before it has been taken; an
+    odd one may be evaluated ahead, in a forked child (see `_table_chunks`), by
+    at most one block. A sweep whose first block raises yields nothing.
     """
     grid = spec.grid()
     yield from _table_chunks(

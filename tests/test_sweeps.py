@@ -5,6 +5,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
 
@@ -388,6 +393,65 @@ class TestFailedRows:
             assert row["regime"] == "error:ZeroDivisionError: float division by zero"
 
 
+# The start of each script that `fresh_argv` runs. os.fork records the pids it
+# returns to the parent; `reaped()` is true when no child is left to wait for;
+# `run(argv)` is the CLI's exit code, stdout and stderr; within `serial()`
+# no child is forked; SWEEP is a CLI sweep of three blocks, `spec(steps)` a
+# sweep of the same point.
+FRESH_PRELUDE = """
+import contextlib, io, json, os, signal, sys, threading, time
+from unittest import mock
+from otto_forge import CycleConfig, SqueezedThermalBath, sweeps
+from otto_forge.cli import main
+from otto_forge.cycles import ledger_columns
+forks, _fork = [], os.fork
+def fork():
+    pid = _fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = fork
+TWO_CPUS = hasattr(os, "fork") and sweeps._cpus_beside() is not None
+def reaped():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+def run(argv):
+    raw, err = io.BytesIO(), io.StringIO()
+    with contextlib.redirect_stdout(io.TextIOWrapper(raw, write_through=True)), \\
+            contextlib.redirect_stderr(err):
+        return main(argv), raw.getvalue(), err.getvalue()
+def serial():
+    return mock.patch.object(sweeps, "_fork_encoder", lambda starts, encode: (0, None))
+SWEEP = ["sweep", "--omega1", "7", "--omega2", "20", "--t1", "2", "--t2", "10",
+         "--bath", "squeezed:0.5", "--axis", "frequency-ratio", "--start", "0.1",
+         "--stop", "1", "--steps", str(2 * 4096 + 5)]
+def spec(steps):
+    return sweeps.SweepSpec(CycleConfig(7, 20, 2, 10, SqueezedThermalBath(0.5)),
+                            sweeps.SweepAxis.FREQUENCY_RATIO, 0.1, 1.0, steps)
+"""
+
+# where the pytest process itself would fork a child to share a table with
+TWO_CPUS = hasattr(os, "fork") and sweeps._cpus_beside() is not None
+
+
+def fresh_argv(script: str, *argv: str) -> list[str]:
+    """The command line that runs FRESH_PRELUDE + `script` on this tree, warnings made errors."""
+    return [sys.executable, "-X", "dev", "-W", "error", "-c",
+            FRESH_PRELUDE + textwrap.dedent(script), *argv]
+
+
+def run_fresh(script: str, *argv: str) -> str:
+    """The stdout of `script` run by `fresh_argv`; it must exit 0 with nothing on stderr."""
+    src = pathlib.Path(sweeps.__file__).parents[1]
+    result = subprocess.run(fresh_argv(script, *argv), env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    return result.stdout
+
+
 class TestEmitTable:
     def test_single_row_csv_has_two_lines(self):
         spec = fig5_delta_n_spec(steps=2)
@@ -528,23 +592,32 @@ class TestEmitTable:
         assert len(chunks) == 3  # one encoded piece per block
         assert b"".join(chunks) == emit_table(table, format=format)
 
-    def test_cli_sweep_passes_at_most_one_block_per_kernel_call(self, capsys, monkeypatch):
+    def test_cli_sweep_passes_at_most_one_block_per_kernel_call(self):
+        # in fresh interpreters, so that no thread an earlier test started
+        # (the oracle's helper) sends the sweep down the one-process path
+        script = """
         calls = []
-
         def recording(kind, omega1, omega2, t1, t2, dn, errors=None):
             calls.append(len(dn))
             return ledger_columns(kind, omega1, omega2, t1, t2, dn, errors)
-
-        monkeypatch.setattr("otto_forge.sweeps.ledger_columns", recording)
+        sweeps.ledger_columns = recording
+        if sys.argv[1] == "one" and hasattr(os, "sched_setaffinity"):
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        code, out, err = run(SWEEP)
+        assert (code, err) == (0, "") and reaped()
+        print(json.dumps({"calls": calls, "forks": len(forks), "out": out.decode()}))
+        """
         steps = 2 * _BLOCK_ROWS + 5
-        code = main([
-            "sweep", "--omega1", "7", "--omega2", "20", "--t1", "2", "--t2", "10",
-            "--bath", "squeezed:0.5", "--axis", "frequency-ratio",
-            "--start", "0.1", "--stop", "1", "--steps", str(steps),
-        ])
-        assert code == 0
-        assert capsys.readouterr().out.count("\r\n") == steps + 1
-        assert calls == [_BLOCK_ROWS, _BLOCK_ROWS, 5]
+        one = json.loads(run_fresh(script, "one"))
+        assert one["calls"] == [_BLOCK_ROWS, _BLOCK_ROWS, 5]
+        assert one["forks"] == 0
+        assert one["out"].count("\r\n") == steps + 1
+        if not TWO_CPUS:
+            pytest.skip("no second CPU to fork a child onto")
+        two = json.loads(run_fresh(script, "two"))
+        assert two["calls"] == [_BLOCK_ROWS, 5]  # the child's block is evaluated there
+        assert two["forks"] == 1
+        assert two["out"] == one["out"]
 
     def test_sweeps_compute_no_law_check(self, monkeypatch):
         def refuse(*args):
@@ -568,6 +641,98 @@ class TestEmitTable:
         rows = run_sweep(fig5_delta_n_spec(steps=2))
         with pytest.raises(ValueError):
             emit_table(rows, format="parquet")
+
+
+class TestTwoProcesses:
+    """A table of `_FORK_ROWS` or more shares its encoding with one forked child.
+
+    Each case runs in a fresh interpreter, and no child may outlive a command.
+    """
+
+    def test_table_to_a_file(self, tmp_path):
+        run_fresh("""
+        assert run([*SWEEP, "--out", sys.argv[1]]) == (0, b"", "")
+        assert reaped() and len(forks) == TWO_CPUS
+        with serial():
+            code, table, _ = run(SWEEP)
+        with open(sys.argv[1], "rb") as out:
+            assert out.read() == table
+        """, str(tmp_path / "table.csv"))
+
+    def test_closed_stdout(self):
+        # the pipe's read end is closed before the first write, as when a
+        # reader such as `head` has stopped: exit 2 and one line on stderr
+        src = pathlib.Path(sweeps.__file__).parents[1]
+        script = """
+        code = main(SWEEP)
+        assert reaped() and len(forks) == TWO_CPUS
+        sys.exit(code)
+        """
+        with subprocess.Popen(fresh_argv(script), env=dict(os.environ, PYTHONPATH=str(src)),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 2
+        assert err.startswith("error: cannot write 'stdout'")
+        assert len(err.splitlines()) == 1
+
+    def test_out_into_a_missing_directory(self, tmp_path):
+        run_fresh("""
+        code, out, err = run([*SWEEP, "--out", sys.argv[1]])
+        assert (code, out) == (2, b"") and err.startswith("error: cannot write")
+        assert reaped() and len(forks) == TWO_CPUS
+        """, str(tmp_path / "missing" / "table.csv"))
+
+    def test_blocks_closed_after_the_first(self):
+        run_fresh("""
+        blocks = sweeps.sweep_blocks(spec(5 * 4096), "json")
+        next(blocks)
+        # a JSON block outgrows the pipe, so the child is still sending block 1
+        assert reaped() is not TWO_CPUS
+        blocks.close()
+        assert reaped() and len(forks) == TWO_CPUS
+        """)
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="no second CPU to fork a child onto")
+    @pytest.mark.parametrize("taken", [1, 2])
+    def test_killed_child_leaves_the_bytes_unchanged(self, taken):
+        # killed half way through sending block 1 (a JSON block outgrows the
+        # pipe, which the child has filled after a pause), or while it encodes
+        # block 3
+        run_fresh("""
+        blocks = sweeps.sweep_blocks(spec(5 * 4096 + 3), "json")
+        chunks = [next(blocks) for _ in range(int(sys.argv[1]))]
+        if len(chunks) == 1:
+            time.sleep(0.5)
+        os.kill(forks[0], signal.SIGKILL)
+        chunks += blocks
+        assert reaped() and len(forks) == 1
+        with serial():
+            assert b"".join(chunks) == b"".join(sweeps.sweep_blocks(spec(5 * 4096 + 3), "json"))
+        """, str(taken))
+
+    def test_a_table_under_fork_rows_keeps_one_process(self):
+        run_fresh("""
+        b"".join(sweeps.sweep_blocks(spec(sweeps._FORK_ROWS - 1), "csv"))  # two blocks
+        assert forks == [] and reaped()
+        b"".join(sweeps.sweep_blocks(spec(sweeps._FORK_ROWS), "csv"))
+        assert len(forks) == TWO_CPUS and reaped()
+        """)
+
+    def test_a_second_thread_keeps_one_process(self):
+        run_fresh("""
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            result = run(SWEEP)
+        finally:
+            release.set()
+            thread.join()
+        assert result[0] == 0 and forks == [] and reaped()
+        with serial():
+            assert run(SWEEP) == result
+        """)
 
 
 class TestAuditCampaign:
